@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
 #include <utility>
 
-#include "esim/matrix.hpp"
 #include "esim/postmortem.hpp"
 #include "esim/schur.hpp"
 #include "esim/sparse.hpp"
@@ -174,12 +172,6 @@ struct Simulator::StampPlan {
 };
 
 Simulator::Simulator(Circuit circuit) : circuit_(std::move(circuit)) {
-  if (const char* env = std::getenv("SKS_SOLVER")) {
-    const std::string_view value(env);
-    if (value == "dense") solver_mode_ = SolverMode::kDense;
-    else if (value == "sparse") solver_mode_ = SolverMode::kSparse;
-    else if (value == "hierarchical") solver_mode_ = SolverMode::kHierarchical;
-  }
   if (const char* env = std::getenv("SKS_POSTMORTEM")) {
     const std::string_view value(env);
     if (!value.empty() && value != "0") {
@@ -205,19 +197,9 @@ void Simulator::set_postmortem_dir(std::string dir) {
   if (!postmortem_dir_.empty()) set_diagnostics(true);
 }
 
-bool Simulator::sparse_path_active() const {
-  switch (solver_mode_) {
-    case SolverMode::kDense:
-      return false;
-    case SolverMode::kSparse:
-    case SolverMode::kHierarchical:
-      // kHierarchical is a sparse-family mode: when partitioning declines
-      // it degrades to the flat sparse path, never to dense.
-      return true;
-    case SolverMode::kAuto:
-      break;
-  }
-  return unknown_count() >= kSparseAutoThreshold;
+void Simulator::set_solver_mode(SolverMode mode) {
+  if (mode != solver_mode_) plan_.reset();
+  solver_mode_ = mode;
 }
 
 bool Simulator::hierarchical_path_active() const {
@@ -253,113 +235,6 @@ double node_v(const std::vector<double>& x, NodeId n) {
 }
 
 }  // namespace
-
-void Simulator::assemble(const std::vector<double>& x, double t, double h,
-                         bool use_trap, const std::vector<double>& cap_prev_v,
-                         const std::vector<double>& cap_prev_i, double gmin,
-                         double source_scale, std::vector<double>& f_out,
-                         DenseMatrix& j_out) const {
-  const std::size_t n_unknowns = unknown_count();
-  const std::size_t n_nodes = circuit_.node_count();
-  f_out.assign(n_unknowns, 0.0);
-  j_out.clear();
-
-  auto stamp_f = [&](NodeId n, double current) {
-    if (n.index != 0) f_out[node_unknown(n)] += current;
-  };
-  auto stamp_j = [&](NodeId row, NodeId col, double g) {
-    if (row.index != 0 && col.index != 0) {
-      j_out.at(node_unknown(row), node_unknown(col)) += g;
-    }
-  };
-
-  // gmin floor: a conductance from every non-ground node to ground.
-  for (std::size_t i = 1; i < n_nodes; ++i) {
-    f_out[i - 1] += gmin * x[i - 1];
-    j_out.at(i - 1, i - 1) += gmin;
-  }
-
-  // Resistors.
-  for (const auto& r : circuit_.resistors()) {
-    const double g = 1.0 / r.resistance;
-    const double i = g * (node_v(x, r.a) - node_v(x, r.b));
-    stamp_f(r.a, i);
-    stamp_f(r.b, -i);
-    stamp_j(r.a, r.a, g);
-    stamp_j(r.a, r.b, -g);
-    stamp_j(r.b, r.a, -g);
-    stamp_j(r.b, r.b, g);
-  }
-
-  // Capacitors (companion models).  In DC (h <= 0) they are open circuits.
-  if (h > 0.0) {
-    const auto& caps = circuit_.capacitors();
-    for (std::size_t ci = 0; ci < caps.size(); ++ci) {
-      const auto& c = caps[ci];
-      const double v = node_v(x, c.a) - node_v(x, c.b);
-      double geq = 0.0;
-      double i = 0.0;
-      if (use_trap) {
-        geq = 2.0 * c.capacitance / h;
-        i = geq * (v - cap_prev_v[ci]) - cap_prev_i[ci];
-      } else {
-        geq = c.capacitance / h;
-        i = geq * (v - cap_prev_v[ci]);
-      }
-      stamp_f(c.a, i);
-      stamp_f(c.b, -i);
-      stamp_j(c.a, c.a, geq);
-      stamp_j(c.a, c.b, -geq);
-      stamp_j(c.b, c.a, -geq);
-      stamp_j(c.b, c.b, geq);
-    }
-  }
-
-  // MOSFETs.
-  for (const auto& m : circuit_.mosfets()) {
-    const MosEval e = eval_mosfet(m.params, m.fault, node_v(x, m.gate),
-                                  node_v(x, m.drain), node_v(x, m.source));
-    const double gms = -(e.gm + e.gds);  // dId/dVs
-    stamp_f(m.drain, e.id);
-    stamp_f(m.source, -e.id);
-    stamp_j(m.drain, m.gate, e.gm);
-    stamp_j(m.drain, m.drain, e.gds);
-    stamp_j(m.drain, m.source, gms);
-    stamp_j(m.source, m.gate, -e.gm);
-    stamp_j(m.source, m.drain, -e.gds);
-    stamp_j(m.source, m.source, -gms);
-  }
-
-  // Independent current sources: I(t) flows out of `from`, into `to`.
-  for (const auto& isrc : circuit_.isources()) {
-    const double i = source_scale * isrc.wave.value(t);
-    stamp_f(isrc.from, i);
-    stamp_f(isrc.to, -i);
-  }
-
-  // Voltage sources: branch current unknowns + constraint rows.
-  const std::size_t branch_base = n_nodes - 1;
-  const auto& vsrcs = circuit_.vsources();
-  for (std::size_t si = 0; si < vsrcs.size(); ++si) {
-    const auto& v = vsrcs[si];
-    const std::size_t bi = branch_base + si;
-    const double i_branch = x[bi];
-    // KCL: branch current leaves the positive node.
-    if (v.pos.index != 0) {
-      f_out[node_unknown(v.pos)] += i_branch;
-      j_out.at(node_unknown(v.pos), bi) += 1.0;
-    }
-    if (v.neg.index != 0) {
-      f_out[node_unknown(v.neg)] -= i_branch;
-      j_out.at(node_unknown(v.neg), bi) -= 1.0;
-    }
-    // Constraint: v_pos - v_neg = V(t) * scale.
-    f_out[bi] =
-        node_v(x, v.pos) - node_v(x, v.neg) - source_scale * v.wave.value(t);
-    if (v.pos.index != 0) j_out.at(bi, node_unknown(v.pos)) += 1.0;
-    if (v.neg.index != 0) j_out.at(bi, node_unknown(v.neg)) -= 1.0;
-  }
-}
 
 void Simulator::build_stamp_plan() const {
   plan_ = std::make_unique<StampPlan>();
@@ -476,9 +351,9 @@ void Simulator::build_stamp_plan() const {
   plan.base_values[dummy] = 0.0;
   plan.template_values = plan.base_values;
 
-  // Hierarchical attempt: explicitly requested modes try to partition at
-  // any size; kAuto only once the system is big enough that the flat
-  // path's global ordering starts to hurt.
+  // Hierarchical attempt: kHierarchical tries to partition at any size;
+  // kAuto only once the system is big enough that the flat path's global
+  // ordering starts to hurt.
   const bool attempt_hier =
       solver_mode_ == SolverMode::kHierarchical ||
       (solver_mode_ == SolverMode::kAuto && n >= kHierarchicalAutoThreshold);
@@ -553,8 +428,6 @@ void Simulator::assemble_sparse(const std::vector<double>& x, double t,
               plan.j.values_size() * sizeof(double));
   f_out.assign(n_unknowns, 0.0);
 
-  // The residual accumulation mirrors the dense assemble() device order
-  // exactly, so both paths compute bit-identical F at the same x.
   auto stamp_f = [&](NodeId n, double current) {
     if (n.index != 0) f_out[node_unknown(n)] += current;
   };
@@ -632,8 +505,6 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, double h,
                              const NewtonOptions& options) const {
   const std::size_t n = unknown_count();
   const std::size_t n_voltage = circuit_.node_count() - 1;
-  const bool sparse = sparse_path_active();
-  if (!sparse && ws_.j.size() != n) ws_.j = DenseMatrix(n);
 
   ++stats_.newton_calls;
   // Diagnostics: one DiagRecord per iteration when the ring is allocated.
@@ -649,14 +520,9 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, double h,
   // check, so a converging iterate costs one assembly instead of two.
   bool check_residual = false;
   for (int iter = 0; iter <= options.max_iterations; ++iter) {
-    if (sparse) {
-      assemble_sparse(x, t, h, use_trap, cap_prev_v, cap_prev_i, gmin,
-                      source_scale, ws_.f);
-      stats_.sparse_nnz = plan_->j.nnz();
-    } else {
-      assemble(x, t, h, use_trap, cap_prev_v, cap_prev_i, gmin, source_scale,
-               ws_.f, ws_.j);
-    }
+    assemble_sparse(x, t, h, use_trap, cap_prev_v, cap_prev_i, gmin,
+                    source_scale, ws_.f);
+    stats_.sparse_nnz = plan_->j.nnz();
 
     if (diag != nullptr) {
       rec = obs::DiagRecord{};
@@ -706,126 +572,87 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, double h,
     // Newton step: J dx = -F.
     ws_.rhs.resize(n);
     for (std::size_t i = 0; i < n; ++i) ws_.rhs[i] = -ws_.f[i];
-    if (sparse) {
-      HierarchicalSolver* const hier = plan_->hier.get();
-      SparseLu& lu = plan_->lu;
-      SparseLuStatus status;
-      bool repivoted = false;
-      if (hier != nullptr) {
-        // Partitioned path: linear-block factors are cached per
-        // (gmin, h, method) configuration inside the solver; each iteration
-        // only re-solves the small Schur system over the interface and
-        // writes dx directly.  The interface system runs the same
-        // refactor-first / full-factor-on-degeneracy protocol as the flat
-        // path, accounted through the same lu_* counters.
-        status = hier->solve(plan_->j, SchurConfigKey{gmin, h, use_trap},
-                             ws_.rhs, ws_.dx);
-        const SchurStats ss = hier->take_stats();
-        stats_.schur_block_factorizations += ss.block_factorizations;
-        stats_.schur_interface_solves += ss.interface_solves;
-        stats_.lu_refactorizations += ss.interface_refactors;
-        stats_.lu_factorizations += ss.interface_factors;
-        stats_.lu_pattern_rebuilds += ss.interface_factors;
-        repivoted = ss.interface_refactors > 0 && ss.interface_factors > 0;
-      } else if (lu.factored()) {
-        // Fast path: numeric refactorization on the frozen pivot order;
-        // full re-pivoting factorization only when a pivot degenerated.
-        ++stats_.lu_refactorizations;
-        status = lu.refactor(plan_->j);
-        if (status == SparseLuStatus::kPivotDegenerate) {
-          repivoted = true;
-          ++stats_.lu_factorizations;
-          ++stats_.lu_pattern_rebuilds;
-          status = lu.factor(plan_->j);
-        }
-      } else {
+    HierarchicalSolver* const hier = plan_->hier.get();
+    SparseLu& lu = plan_->lu;
+    SparseLuStatus status;
+    bool repivoted = false;
+    if (hier != nullptr) {
+      // Partitioned path: linear-block factors are cached per
+      // (gmin, h, method) configuration inside the solver; each iteration
+      // only re-solves the small Schur system over the interface and
+      // writes dx directly.  The interface system runs the same
+      // refactor-first / full-factor-on-degeneracy protocol as the flat
+      // path, accounted through the same lu_* counters.
+      status = hier->solve(plan_->j, SchurConfigKey{gmin, h, use_trap},
+                           ws_.rhs, ws_.dx);
+      const SchurStats ss = hier->take_stats();
+      stats_.schur_block_factorizations += ss.block_factorizations;
+      stats_.schur_interface_solves += ss.interface_solves;
+      stats_.lu_refactorizations += ss.interface_refactors;
+      stats_.lu_factorizations += ss.interface_factors;
+      stats_.lu_pattern_rebuilds += ss.interface_factors;
+      repivoted = ss.interface_refactors > 0 && ss.interface_factors > 0;
+    } else if (lu.factored()) {
+      // Fast path: numeric refactorization on the frozen pivot order;
+      // full re-pivoting factorization only when a pivot degenerated.
+      ++stats_.lu_refactorizations;
+      status = lu.refactor(plan_->j);
+      if (status == SparseLuStatus::kPivotDegenerate) {
+        repivoted = true;
         ++stats_.lu_factorizations;
         ++stats_.lu_pattern_rebuilds;
         status = lu.factor(plan_->j);
       }
-      if (status != SparseLuStatus::kOk) {
-        ++stats_.lu_singular;
-        ++stats_.newton_failures;
-        if (diag != nullptr) {
-          rec.lu_status = obs::kDiagLuSingular;
-          diag->push(rec);
-          obs::record_solve_health(rec.residual, last_pivot_growth,
-                                   last_cond_est);
-        }
-        return false;
-      }
-      if (diag != nullptr) {
-        if (repivoted) rec.lu_status = obs::kDiagLuRepivoted;
-        double max_a = 0.0;
-        const double* vals = plan_->j.values();
-        for (std::size_t i = 0; i < plan_->j.nnz(); ++i) {
-          max_a = std::max(max_a, std::fabs(vals[i]));
-        }
-        const double dmax =
-            hier != nullptr ? hier->udiag_max_abs() : lu.udiag_max_abs();
-        const double dmin =
-            hier != nullptr ? hier->udiag_min_abs() : lu.udiag_min_abs();
-        if (dmin > 0.0) rec.cond_est = dmax / dmin;
-        if (max_a > 0.0) rec.pivot_growth = dmax / max_a;
-        last_pivot_growth = rec.pivot_growth;
-        last_cond_est = rec.cond_est;
-      }
-      if (hier == nullptr) lu.solve(ws_.rhs, ws_.dx);
-      bool finite = true;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!std::isfinite(ws_.dx[i])) {
-          finite = false;
-          break;
-        }
-      }
-      if (!finite) {
-        ++stats_.lu_nonfinite;
-        ++stats_.newton_failures;
-        if (diag != nullptr) {
-          rec.lu_status = obs::kDiagLuNonFinite;
-          diag->push(rec);
-          obs::record_solve_health(rec.residual, last_pivot_growth,
-                                   last_cond_est);
-        }
-        return false;
-      }
     } else {
       ++stats_.lu_factorizations;
+      ++stats_.lu_pattern_rebuilds;
+      status = lu.factor(plan_->j);
+    }
+    if (status != SparseLuStatus::kOk) {
+      ++stats_.lu_singular;
+      ++stats_.newton_failures;
+      if (diag != nullptr) {
+        rec.lu_status = obs::kDiagLuSingular;
+        diag->push(rec);
+        obs::record_solve_health(rec.residual, last_pivot_growth,
+                                 last_cond_est);
+      }
+      return false;
+    }
+    if (diag != nullptr) {
+      if (repivoted) rec.lu_status = obs::kDiagLuRepivoted;
       double max_a = 0.0;
+      const double* vals = plan_->j.values();
+      for (std::size_t i = 0; i < plan_->j.nnz(); ++i) {
+        max_a = std::max(max_a, std::fabs(vals[i]));
+      }
+      const double dmax =
+          hier != nullptr ? hier->udiag_max_abs() : lu.udiag_max_abs();
+      const double dmin =
+          hier != nullptr ? hier->udiag_min_abs() : lu.udiag_min_abs();
+      if (dmin > 0.0) rec.cond_est = dmax / dmin;
+      if (max_a > 0.0) rec.pivot_growth = dmax / max_a;
+      last_pivot_growth = rec.pivot_growth;
+      last_cond_est = rec.cond_est;
+    }
+    if (hier == nullptr) lu.solve(ws_.rhs, ws_.dx);
+    bool finite = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!std::isfinite(ws_.dx[i])) {
+        finite = false;
+        break;
+      }
+    }
+    if (!finite) {
+      ++stats_.lu_nonfinite;
+      ++stats_.newton_failures;
       if (diag != nullptr) {
-        // Pre-factor |A| scan (lu_solve destroys the Jacobian) feeding the
-        // pivot-growth estimate.  Diagnostics path only.
-        for (std::size_t r = 0; r < n; ++r) {
-          for (std::size_t c = 0; c < n; ++c) {
-            max_a = std::max(max_a, std::fabs(ws_.j.at(r, c)));
-          }
-        }
+        rec.lu_status = obs::kDiagLuNonFinite;
+        diag->push(rec);
+        obs::record_solve_health(rec.residual, last_pivot_growth,
+                                 last_cond_est);
       }
-      LuPivotInfo pivots;
-      const LuStatus status =
-          lu_solve(ws_.j, ws_.rhs, ws_.dx, diag != nullptr ? &pivots : nullptr);
-      if (diag != nullptr) {
-        if (pivots.min_abs_pivot > 0.0) {
-          rec.cond_est = pivots.max_abs_pivot / pivots.min_abs_pivot;
-        }
-        if (max_a > 0.0) rec.pivot_growth = pivots.max_abs_pivot / max_a;
-        last_pivot_growth = rec.pivot_growth;
-        last_cond_est = rec.cond_est;
-      }
-      if (status != LuStatus::kOk) {
-        ++(status == LuStatus::kSingular ? stats_.lu_singular
-                                         : stats_.lu_nonfinite);
-        ++stats_.newton_failures;
-        if (diag != nullptr) {
-          rec.lu_status = status == LuStatus::kSingular
-                              ? obs::kDiagLuSingular
-                              : obs::kDiagLuNonFinite;
-          diag->push(rec);
-          obs::record_solve_health(rec.residual, last_pivot_growth,
-                                   last_cond_est);
-        }
-        return false;
-      }
+      return false;
     }
 
     // Clamp the voltage updates (classic SPICE damping); branch currents
@@ -850,10 +677,6 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, double h,
                                  last_cond_est);
       }
       return false;
-    }
-    if (std::getenv("SKS_DEBUG_NR") != nullptr) {
-      std::fprintf(stderr, "  NR iter=%d t=%g h=%g max_dv=%g damp=%g\n", iter,
-                   t, h, max_dv, damping);
     }
     check_residual = max_dv * damping < options.vtol;
   }
@@ -946,12 +769,7 @@ std::string Simulator::worst_residual_node(
     const std::vector<double>& cap_prev_v, const std::vector<double>& cap_prev_i,
     double gmin) const {
   std::vector<double>& f = ws_.f;
-  if (sparse_path_active()) {
-    assemble_sparse(x, t, h, use_trap, cap_prev_v, cap_prev_i, gmin, 1.0, f);
-  } else {
-    if (ws_.j.size() != unknown_count()) ws_.j = DenseMatrix(unknown_count());
-    assemble(x, t, h, use_trap, cap_prev_v, cap_prev_i, gmin, 1.0, f, ws_.j);
-  }
+  assemble_sparse(x, t, h, use_trap, cap_prev_v, cap_prev_i, gmin, 1.0, f);
   const std::size_t n_voltage = circuit_.node_count() - 1;
   std::size_t worst = 0;
   double worst_res = -1.0;
@@ -989,7 +807,7 @@ void Simulator::attach_postmortem(ConvergenceError& err,
   context.t = err.sim_time();
   context.iterations = err.iterations();
   context.worst_node = err.worst_node();
-  context.sparse_path = sparse_path_active();
+  context.solver_mode = plan_ && plan_->hier ? "hierarchical" : "sparse";
   context.dt_at_floor = dt_at_floor;
   context.stats = stats_;
   context.newton = newton;
@@ -1281,16 +1099,6 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
       if (options.adaptive && h_try < dt_current) dt_current = h_try;
     }
     if (!ok) {
-      if (std::getenv("SKS_DEBUG_NR") != nullptr) {
-        std::fprintf(stderr, "FAILSTATE t=%.6g h=%.3g\n", t, h);
-        for (std::size_t i = 0; i < x_saved.size(); ++i) {
-          std::fprintf(stderr, "  x[%zu] = %.6g\n", i, x_saved[i]);
-        }
-        for (std::size_t ci = 0; ci < cap_i.size(); ++ci) {
-          std::fprintf(stderr, "  cap[%zu] v=%.6g i=%.6g\n", ci, cap_v[ci],
-                       cap_i[ci]);
-        }
-      }
       stats_.wall_seconds = wall.seconds();
       mirror_stats_to_registry(stats_);
       // Continuous-health counter: the step was abandoned with dt at the

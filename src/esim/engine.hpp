@@ -5,18 +5,17 @@
 // Newton-Raphson iteration assembles the KCL residual F(x) and its Jacobian
 // and solves J dx = -F.
 //
-// Two linear-solver paths (see SolverMode):
-//  * dense — reference path: full Jacobian rebuild + dense LU with partial
-//    pivoting each iteration.  Kept for tiny circuits and as the golden
-//    implementation the sparse path is tested against.
-//  * sparse — a symbolic prepass (once per Simulator) records a stamp slot
-//    for every device terminal pair; per iteration the Jacobian starts from
-//    a memcpy of a cached template (constant resistor/vsource stamps plus
-//    the per-timestep capacitor companion conductances) and only the
-//    MOSFET gm/gds stamps are re-evaluated.  The system is solved with a
-//    fill-reducing sparse LU whose pivot order and fill pattern are reused
-//    across iterations (esim/sparse.hpp), falling back to a full
-//    re-pivoting factorization when a pivot degenerates.
+// Every solve runs on one stamp plan: a symbolic prepass (once per
+// Simulator) records a stamp slot for every device terminal pair; per
+// iteration the Jacobian starts from a memcpy of a cached template
+// (constant resistor/vsource stamps plus the per-timestep capacitor
+// companion conductances) and only the MOSFET gm/gds stamps are
+// re-evaluated.  The system is solved with a fill-reducing sparse LU whose
+// pivot order and fill pattern are reused across iterations
+// (esim/sparse.hpp), falling back to a full re-pivoting factorization when
+// a pivot degenerates — or, on big clock networks, with the
+// Schur-complement solver over the same matrix (esim/schur.hpp; see
+// SolverMode).
 //
 // DC operating point: plain Newton first, then gmin stepping, then source
 // stepping — the standard SPICE continuation ladder.
@@ -40,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "esim/matrix.hpp"
 #include "esim/netlist.hpp"
 
 namespace sks {
@@ -64,29 +62,29 @@ namespace sks::esim {
 // Per-run solver telemetry, accumulated by every public solve entry point
 // (dc_operating_point / dc_solution / run_transient) and exposed on the
 // result objects.  Counting is always on — the increments are integer adds
-// that vanish next to a dense LU — and the totals are mirrored into the
-// global obs registry (`esim.*` counters) when each run finishes, so
-// campaign layers can aggregate across runs they did not start themselves.
+// that vanish next to an LU refactorization — and the totals are mirrored
+// into the global obs registry (`esim.*` counters) when each run finishes,
+// so campaign layers can aggregate across runs they did not start
+// themselves.
 struct SolveStats {
   // Newton-Raphson.
   std::uint64_t newton_calls = 0;       // newton_solve() invocations
   std::uint64_t newton_iterations = 0;  // NR iterations across all calls
   std::uint64_t newton_failures = 0;    // calls that gave up
   std::uint64_t lu_factorizations = 0;  // full LU factorizations with pivot
-                                        // search (dense: one per NR iter;
-                                        // sparse: pattern rebuilds only)
-  std::uint64_t lu_refactorizations = 0;  // sparse numeric-only refactors on
-                                          // the frozen pivot order (the
+                                        // search (= lu_pattern_rebuilds)
+  std::uint64_t lu_refactorizations = 0;  // numeric-only refactors on the
+                                          // frozen pivot order (the
                                           // per-iteration fast path)
-  std::uint64_t lu_pattern_rebuilds = 0;  // sparse full factorizations (the
-                                          // first one plus every
+  std::uint64_t lu_pattern_rebuilds = 0;  // full factorizations (the first
+                                          // one plus every
                                           // degenerate-pivot fallback)
   std::uint64_t lu_singular = 0;        // LU bailouts on a singular matrix
   std::uint64_t lu_nonfinite = 0;       // LU bailouts on non-finite results
                                         // (overflow/NaN, not singularity)
-  std::uint64_t sparse_nnz = 0;         // Jacobian nonzeros on the sparse
-                                        // path (0 = dense path used)
-  // Hierarchical (Schur-complement) path; all zero on the other paths.
+  std::uint64_t sparse_nnz = 0;         // Jacobian nonzeros (0 = no Newton
+                                        // iteration ran)
+  // Hierarchical (Schur-complement) path; all zero on the flat path.
   std::uint64_t schur_block_factorizations = 0;  // per-block LU factors
                                                  // (config refreshes only —
                                                  // steady-state Newton
@@ -118,17 +116,14 @@ struct SolveStats {
 // non-fallback lane so batched and scalar runs report identically.
 void mirror_stats_to_registry(const SolveStats& stats);
 
-// Linear-solver selection.  kAuto picks sparse when the circuit has at
-// least Simulator::kSparseAutoThreshold unknowns and dense below it (tiny
-// systems fit in cache and a dense LU beats the sparse bookkeeping); at
-// kHierarchicalAutoThreshold unknowns and above it additionally tries the
-// partitioned Schur-complement path (esim/schur.hpp), which falls back to
-// flat sparse when the pattern has no exploitable linear-block structure.
-// The SKS_SOLVER environment variable ("dense" / "sparse" /
-// "hierarchical") overrides the automatic choice at Simulator
-// construction; an explicit set_solver_mode() call afterwards wins over
-// both.
-enum class SolverMode { kAuto, kDense, kSparse, kHierarchical };
+// LU back end behind the stamp plan.  kSparse factors the whole system
+// with the flat SparseLu; kHierarchical tries the partitioned
+// Schur-complement solver (esim/schur.hpp) at any size, falling back to
+// flat sparse when the pattern has no exploitable linear-block structure;
+// kAuto (the default) is kSparse below
+// Simulator::kHierarchicalAutoThreshold unknowns and kHierarchical from
+// there on.
+enum class SolverMode { kAuto, kSparse, kHierarchical };
 
 // Preallocated per-Simulator solver scratch, reused across every Newton
 // iteration, transient step and DC continuation rung so the hot loop is
@@ -139,7 +134,6 @@ struct SolveWorkspace {
   std::vector<double> dx;       // Newton update
   std::vector<double> x_saved;  // transient step-retry snapshot
   std::vector<double> trial;    // DC continuation-ladder iterate
-  DenseMatrix j;                // dense-path Jacobian (empty on sparse path)
 };
 
 struct NewtonOptions {
@@ -200,16 +194,13 @@ class Simulator {
 
   const Circuit& circuit() const { return circuit_; }
 
-  // Linear-solver selection (see SolverMode).  The mode can be switched
-  // between solves; the sparse symbolic prepass is cached per Simulator and
-  // survives the round trip.
-  void set_solver_mode(SolverMode mode) { solver_mode_ = mode; }
+  // LU back-end selection (see SolverMode).  The mode is resolved when the
+  // stamp plan is built, on the first solve; switching to a different mode
+  // drops the plan so the next solve rebuilds it for the new back end.
+  void set_solver_mode(SolverMode mode);
   SolverMode solver_mode() const { return solver_mode_; }
-  // The path the current mode resolves to for this circuit.
-  bool sparse_path_active() const;
-  // Whether the sparse path runs through the hierarchical Schur solver.
-  // Resolved when the stamp plan is first built: kHierarchical (explicit or
-  // via SKS_SOLVER) tries to partition at any size, kAuto only from
+  // Whether solves run through the hierarchical Schur solver: kHierarchical
+  // tries to partition at any size, kAuto only from
   // kHierarchicalAutoThreshold unknowns; either way a pattern with no
   // exploitable linear-block structure falls back to flat sparse.
   bool hierarchical_path_active() const;
@@ -220,11 +211,9 @@ class Simulator {
   // so un-instrumented benches can report it without enabling obs.
   std::size_t schur_memory_bytes() const;
 
-  // kAuto switches to the sparse path at this many unknowns.
-  static constexpr std::size_t kSparseAutoThreshold = 24;
-  // kAuto additionally attempts the hierarchical partition at this many
-  // unknowns (large enough that every pre-existing mid-size bench keeps its
-  // flat-sparse counters bit-identical).
+  // kAuto attempts the hierarchical partition at this many unknowns (large
+  // enough that every mid-size bench keeps its flat-sparse counters
+  // bit-identical).
   static constexpr std::size_t kHierarchicalAutoThreshold = 4096;
 
   // Work-stealing pool used for parallel linear-block elimination on the
@@ -285,25 +274,20 @@ class Simulator {
   std::size_t unknown_count() const;
   std::size_t node_unknown(NodeId n) const;  // valid only for non-ground
 
-  // Assemble F and J at solution x.  `h <= 0` selects DC (capacitors open).
-  // `source_scale` multiplies every source value (used for source stepping).
-  void assemble(const std::vector<double>& x, double t, double h,
-                bool use_trap, const std::vector<double>& cap_prev_v,
-                const std::vector<double>& cap_prev_i, double gmin,
-                double source_scale, std::vector<double>& f_out,
-                DenseMatrix& j_out) const;
-
-  // Sparse-path equivalent: writes F into f_out and the Jacobian into the
-  // stamp plan's sparse matrix (template memcpy + MOSFET stamps through
-  // precomputed slots).  Builds the plan on first use.
+  // Assemble F at solution x into f_out and the Jacobian into the stamp
+  // plan's sparse matrix (template memcpy + MOSFET stamps through
+  // precomputed slots).  Builds the plan on first use.  `h <= 0` selects
+  // DC (capacitors open); `source_scale` multiplies every source value
+  // (used for source stepping).
   void assemble_sparse(const std::vector<double>& x, double t, double h,
                        bool use_trap, const std::vector<double>& cap_prev_v,
                        const std::vector<double>& cap_prev_i, double gmin,
                        double source_scale, std::vector<double>& f_out) const;
 
   // Symbolic prepass: the sparse pattern, per-device stamp slots, the
-  // constant stamp template and the LU column ordering.  Cached for the
-  // Simulator's lifetime (the circuit snapshot is immutable).
+  // constant stamp template and the LU back end (flat ordering or Schur
+  // partition).  Cached until the solver mode changes (the circuit
+  // snapshot is immutable).
   void build_stamp_plan() const;
 
   // One Newton solve; returns true on convergence, x updated in place.

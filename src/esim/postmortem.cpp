@@ -195,8 +195,8 @@ std::string write_postmortem_bundle(const PostmortemContext& context,
     << "  \"iterations\": " << context.iterations << ",\n"
     << "  \"worst_node\": \"" << obs::json_escape(context.worst_node)
     << "\",\n"
-    << "  \"solver_mode\": \""
-    << (context.sparse_path ? "sparse" : "dense") << "\",\n"
+    << "  \"solver_mode\": \"" << obs::json_escape(context.solver_mode)
+    << "\",\n"
     << "  \"dt_at_floor\": " << json_bool(context.dt_at_floor) << ",\n"
     << "  \"repro\": \"sks-report repro " << obs::json_escape(bundle.string())
     << "\",\n"

@@ -44,7 +44,8 @@ struct PostmortemContext {
   double t = 0.0;
   long iterations = 0;
   std::string worst_node;
-  bool sparse_path = false;
+  std::string solver_mode = "sparse";  // LU back end that ran: "sparse" |
+                                       // "hierarchical"
   bool dt_at_floor = false;          // transient gave up at dt_min
   SolveStats stats;
   NewtonOptions newton;
@@ -67,7 +68,7 @@ struct BundleManifest {
   std::string failure_class;
   std::string message;
   std::string worst_node;
-  std::string solver_mode;  // "dense" | "sparse"
+  std::string solver_mode;  // "sparse" | "hierarchical"
   double t = 0.0;
   long iterations = 0;
   bool dt_at_floor = false;

@@ -1,9 +1,9 @@
-// Sparse linear algebra for the MNA fast path.
+// Sparse linear algebra for the MNA solves.
 //
 // Clock-distribution circuits are extremely sparse (node degree <= 4 in an
-// ACTreS-style tree), so above a few dozen unknowns the dense Jacobian
-// wastes nearly all of its O(n^2) clear and O(n^3) LU work.  This header
-// provides the two pieces the engine's sparse path is built from:
+// ACTreS-style tree), so a dense Jacobian would waste nearly all of its
+// O(n^2) clear and O(n^3) LU work.  This header provides the two pieces
+// every engine solve is built from:
 //
 //  * `SparseMatrix` — a compressed-sparse-column matrix whose *pattern* is
 //    fixed at construction.  The engine's symbolic prepass resolves every
@@ -23,9 +23,9 @@
 //    path — and reports `kPivotDegenerate` when a reused pivot has become
 //    untrustworthy so the caller can fall back to a full `factor()`.
 //
-// Like the dense solver, a pivot magnitude below 1e-30 classifies the
-// matrix as numerically singular, so fault-injected singular circuits fail
-// identically on both paths.
+// A pivot magnitude below 1e-30 classifies the matrix as numerically
+// singular — the same floor as the test-only dense reference LU the tests
+// compare against.
 #pragma once
 
 #include <cstddef>
@@ -150,7 +150,7 @@ class SparseLu {
   // least this fraction of its column's largest candidate magnitude
   // (KLU-style growth guard).
   static constexpr double kPivotTolerance = 1e-3;
-  static constexpr double kSingularFloor = 1e-30;  // mirrors the dense guard
+  static constexpr double kSingularFloor = 1e-30;
 
   std::size_t n_ = 0;
   std::vector<std::uint32_t> q_;     // column order: column q_[jj] is jj-th

@@ -6,7 +6,7 @@
 //  * `Counter::inc()` is a single relaxed atomic add — counters are
 //    *always* live, so the engine can account NR iterations and LU
 //    factorizations without any mode check and the cost stays unmeasurable
-//    next to a dense solve;
+//    next to an LU solve;
 //  * anything that reads a clock (ScopedTimer, see timer.hpp) or allocates
 //    (Journal, see journal.hpp) is gated on the global `enabled()` flag and
 //    compiles down to one predictable branch when profiling is off;

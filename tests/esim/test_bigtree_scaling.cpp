@@ -22,7 +22,6 @@ TEST(BigTreeScaling, AutoModeRunsHierarchicalAt8kUnknowns) {
 
   Simulator sim(net.circuit);  // default kAuto: size is past the threshold
   EXPECT_TRUE(sim.hierarchical_path_active());
-  EXPECT_TRUE(sim.sparse_path_active());
 
   TransientOptions t;
   t.t_end = 1e-9;

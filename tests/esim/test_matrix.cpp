@@ -1,9 +1,9 @@
-#include "esim/matrix.hpp"
-
+// The test-only dense reference LU the engine's solvers are checked against.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "dense_reference.hpp"
 #include "util/prng.hpp"
 
 namespace sks::esim {

@@ -1,7 +1,8 @@
-// Failure postmortem bundles: forced non-convergence on both solver paths
-// must carry identical ConvergenceError payloads, emit a self-contained
-// bundle whose classifier names the right class, and embed a netlist that
-// reproduces the same failure class when re-run from the bundle alone.
+// Failure postmortem bundles: forced non-convergence must carry the
+// failure context on its ConvergenceError, emit a self-contained bundle
+// whose classifier names the right class and whose manifest names the LU
+// back end that ran, and embed a netlist that reproduces the same failure
+// class on that back end when re-run from the bundle alone.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "esim/benchnets.hpp"
 #include "esim/engine.hpp"
 #include "esim/postmortem.hpp"
 #include "esim/spice_io.hpp"
@@ -51,8 +53,9 @@ struct CapturedFailure {
   SolveStats stats;
 };
 
-CapturedFailure fail_dc(SolverMode mode, const std::string& postmortem_dir) {
-  Simulator sim(singular_circuit());
+CapturedFailure fail_dc(const Circuit& circuit, SolverMode mode,
+                        const std::string& postmortem_dir) {
+  Simulator sim(circuit);
   sim.set_solver_mode(mode);
   if (!postmortem_dir.empty()) sim.set_postmortem_dir(postmortem_dir);
   CapturedFailure out;
@@ -70,66 +73,20 @@ CapturedFailure fail_dc(SolverMode mode, const std::string& postmortem_dir) {
   return out;
 }
 
-TEST(Postmortem, ConvergenceErrorPayloadIdenticalDenseVsSparse) {
-  const CapturedFailure dense = fail_dc(SolverMode::kDense, "");
-  const CapturedFailure sparse = fail_dc(SolverMode::kSparse, "");
-  EXPECT_EQ(dense.phase, "dc");
-  EXPECT_EQ(dense.phase, sparse.phase);
-  EXPECT_EQ(dense.worst_node, sparse.worst_node);
-  EXPECT_EQ(dense.sim_time, sparse.sim_time);
-  EXPECT_EQ(dense.iterations, sparse.iterations);
-  EXPECT_GT(dense.stats.lu_singular, 0u);
-  EXPECT_GT(sparse.stats.lu_singular, 0u);
-  EXPECT_EQ(dense.stats.lu_nonfinite, 0u);
-  EXPECT_EQ(sparse.stats.lu_nonfinite, 0u);
-  // No bundle directory configured: no bundle path on the error.
-  EXPECT_TRUE(dense.bundle.empty());
-  EXPECT_TRUE(sparse.bundle.empty());
-}
-
-TEST(Postmortem, BundleWrittenAndCorrectlyClassified) {
-  for (const SolverMode mode : {SolverMode::kDense, SolverMode::kSparse}) {
-    const std::string dir = unique_dir("classify");
-    const CapturedFailure f = fail_dc(mode, dir);
-    ASSERT_FALSE(f.bundle.empty());
-    EXPECT_EQ(f.bundle.rfind(dir, 0), 0u)
-        << "bundle must live under the configured directory";
-    EXPECT_TRUE(fs::exists(fs::path(f.bundle) / "manifest.json"));
-    EXPECT_TRUE(fs::exists(fs::path(f.bundle) / "netlist.sp"));
-    EXPECT_TRUE(fs::exists(fs::path(f.bundle) / "iterations.json"));
-
-    const BundleManifest manifest = read_postmortem_manifest(f.bundle);
-    EXPECT_EQ(manifest.phase, "dc");
-    EXPECT_EQ(manifest.failure_class, "singular_system");
-    EXPECT_EQ(manifest.solver_mode,
-              mode == SolverMode::kSparse ? "sparse" : "dense");
-    EXPECT_GT(manifest.lu_singular, 0u);
-    EXPECT_FALSE(manifest.has_transient);
-
-    // `sks-report explain` re-derives the class instead of trusting the
-    // manifest; both routes must agree.
-    const auto tail = read_postmortem_iterations(f.bundle);
-    EXPECT_FALSE(tail.empty());
-    EXPECT_EQ(classify_bundle(manifest, tail),
-              obs::FailureClass::kSingularSystem);
-    fs::remove_all(dir);
-  }
-}
-
-TEST(Postmortem, BundleNetlistReproducesSameFailureClass) {
-  const std::string dir = unique_dir("roundtrip");
-  const CapturedFailure f = fail_dc(SolverMode::kDense, dir);
-  ASSERT_FALSE(f.bundle.empty());
-  const BundleManifest manifest = read_postmortem_manifest(f.bundle);
-
-  // Re-run from the bundle alone, the way `sks-report repro` does.
-  std::ifstream in(fs::path(f.bundle) / manifest.netlist_file);
+// Re-run a bundle's netlist on the bundle's LU back end, the way
+// `sks-report repro` does, and check the same failure class comes back.
+void expect_bundle_reproduces(const std::string& bundle) {
+  const BundleManifest manifest = read_postmortem_manifest(bundle);
+  std::ifstream in(fs::path(bundle) / manifest.netlist_file);
   ASSERT_TRUE(in.good());
   std::ostringstream netlist;
   netlist << in.rdbuf();
   Simulator rerun(parse_spice(netlist.str()));
-  rerun.set_solver_mode(manifest.solver_mode == "sparse" ? SolverMode::kSparse
-                                                         : SolverMode::kDense);
+  rerun.set_solver_mode(manifest.solver_mode == "hierarchical"
+                            ? SolverMode::kHierarchical
+                            : SolverMode::kSparse);
+  EXPECT_EQ(rerun.hierarchical_path_active(),
+            manifest.solver_mode == "hierarchical");
   rerun.set_diagnostics(true);
   try {
     rerun.dc_solution(manifest.t);
@@ -144,6 +101,69 @@ TEST(Postmortem, BundleNetlistReproducesSameFailureClass) {
     EXPECT_EQ(obs::to_string(obs::classify_failure(evidence)),
               manifest.failure_class);
   }
+}
+
+TEST(Postmortem, ConvergenceErrorPayloadCarriesFailureContext) {
+  const CapturedFailure f = fail_dc(singular_circuit(), SolverMode::kAuto, "");
+  EXPECT_EQ(f.phase, "dc");
+  EXPECT_EQ(f.worst_node, "n");
+  EXPECT_EQ(f.sim_time, 0.0);
+  EXPECT_EQ(f.iterations, static_cast<long>(f.stats.newton_iterations));
+  EXPECT_GT(f.stats.lu_singular, 0u);
+  EXPECT_EQ(f.stats.lu_nonfinite, 0u);
+  // No bundle directory configured: no bundle path on the error.
+  EXPECT_TRUE(f.bundle.empty());
+}
+
+TEST(Postmortem, BundleWrittenAndCorrectlyClassified) {
+  const std::string dir = unique_dir("classify");
+  const CapturedFailure f = fail_dc(singular_circuit(), SolverMode::kAuto, dir);
+  ASSERT_FALSE(f.bundle.empty());
+  EXPECT_EQ(f.bundle.rfind(dir, 0), 0u)
+      << "bundle must live under the configured directory";
+  EXPECT_TRUE(fs::exists(fs::path(f.bundle) / "manifest.json"));
+  EXPECT_TRUE(fs::exists(fs::path(f.bundle) / "netlist.sp"));
+  EXPECT_TRUE(fs::exists(fs::path(f.bundle) / "iterations.json"));
+
+  const BundleManifest manifest = read_postmortem_manifest(f.bundle);
+  EXPECT_EQ(manifest.phase, "dc");
+  EXPECT_EQ(manifest.failure_class, "singular_system");
+  EXPECT_EQ(manifest.solver_mode, "sparse");
+  EXPECT_GT(manifest.lu_singular, 0u);
+  EXPECT_FALSE(manifest.has_transient);
+
+  // `sks-report explain` re-derives the class instead of trusting the
+  // manifest; both routes must agree.
+  const auto tail = read_postmortem_iterations(f.bundle);
+  EXPECT_FALSE(tail.empty());
+  EXPECT_EQ(classify_bundle(manifest, tail),
+            obs::FailureClass::kSingularSystem);
+  fs::remove_all(dir);
+}
+
+TEST(Postmortem, BundleNetlistReproducesSameFailureClass) {
+  const std::string dir = unique_dir("roundtrip");
+  const CapturedFailure f = fail_dc(singular_circuit(), SolverMode::kAuto, dir);
+  ASSERT_FALSE(f.bundle.empty());
+  expect_bundle_reproduces(f.bundle);
+  fs::remove_all(dir);
+}
+
+TEST(Postmortem, HierarchicalBundleRecordsAndReproducesItsPath) {
+  // Two ideal sources pin a partitionable clock tree's root to different
+  // voltages: the Schur interface system is singular.
+  const auto net = make_clock_tree({});
+  Circuit circuit = net.circuit;
+  circuit.add_vsource("vdup1", net.root, circuit.ground(), Waveform::dc(1.0));
+  circuit.add_vsource("vdup2", net.root, circuit.ground(), Waveform::dc(2.0));
+  const std::string dir = unique_dir("hier");
+  const CapturedFailure f =
+      fail_dc(circuit, SolverMode::kHierarchical, dir);
+  ASSERT_FALSE(f.bundle.empty());
+  const BundleManifest manifest = read_postmortem_manifest(f.bundle);
+  EXPECT_EQ(manifest.solver_mode, "hierarchical");
+  EXPECT_EQ(manifest.failure_class, "singular_system");
+  expect_bundle_reproduces(f.bundle);
   fs::remove_all(dir);
 }
 

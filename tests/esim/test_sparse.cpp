@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "esim/matrix.hpp"
+#include "dense_reference.hpp"
 #include "util/error.hpp"
 #include "util/prng.hpp"
 

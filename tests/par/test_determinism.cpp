@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <cstdlib>
 #include <vector>
 
 #include <set>
@@ -187,31 +186,6 @@ TEST(ParMonteCarlo, SamplesAndStatsIdenticalAcrossThreadCounts) {
   expect_equal_solve(stats1.solve, stats4.solve);
   EXPECT_EQ(stats1.detected, stats4.detected);
   EXPECT_EQ(stats1.sample_seconds.count(), stats4.sample_seconds.count());
-}
-
-TEST(ParMonteCarlo, SparseSolverKeepsThreadCountDeterminism) {
-  // Forcing the sparse path through the environment (each worker's
-  // Simulator reads it at construction) must not disturb the bit-identical
-  // guarantee across thread counts: the sparse LU is just as deterministic
-  // as the dense one and every Simulator owns its workspace and plan.
-  struct ScopedEnv {
-    ScopedEnv() { ::setenv("SKS_SOLVER", "sparse", 1); }
-    ~ScopedEnv() { ::unsetenv("SKS_SOLVER"); }
-  } env;
-  const cell::Technology tech;
-  const auto serial = scheme::run_vmin_montecarlo(
-      tech, cell::SensorOptions{}, mc_options(1));
-  const auto parallel = scheme::run_vmin_montecarlo(
-      tech, cell::SensorOptions{}, mc_options(4));
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial[i].tau, parallel[i].tau) << i;
-    EXPECT_DOUBLE_EQ(serial[i].slew1, parallel[i].slew1) << i;
-    EXPECT_DOUBLE_EQ(serial[i].slew2, parallel[i].slew2) << i;
-    EXPECT_DOUBLE_EQ(serial[i].vmin_late, parallel[i].vmin_late) << i;
-    EXPECT_EQ(serial[i].indication, parallel[i].indication) << i;
-    EXPECT_EQ(serial[i].detected, parallel[i].detected) << i;
-  }
 }
 
 TEST(ParMonteCarlo, ProgressFiresInSampleOrder) {

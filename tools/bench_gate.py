@@ -80,12 +80,14 @@ REQUIRED_ZERO = ("obs.stream_updates", "obs.timeline_snapshots",
 WINDOWS = {
     # Batched SoA Monte-Carlo: the fast path must keep a real margin over
     # the scalar path.  Measured ~1.8-1.9x at 32 lanes on the fig5
-    # population (1-core CI class hardware; see EXPERIMENTS.md "Batched
-    # Monte-Carlo" for the phase breakdown and why the aspirational 4x is
-    # out of reach on this n=25 circuit).  The 1.4 floor leaves headroom
-    # for loaded or slower CI machines while still failing if batching
-    # ever stops paying for itself.
-    "solver.mc_batch_speedup": (1.4, None),
+    # population against the dense scalar solve; since the scalar sensor
+    # solves run on the sparse path (~1.7x faster) the ratio measures
+    # 1.3-1.6x (4-vCPU VM; see EXPERIMENTS.md "Batched Monte-Carlo" for the
+    # phase breakdown and why the aspirational 4x is out of reach on this
+    # n=25 circuit).  The 1.1 floor leaves headroom for loaded or slower CI
+    # machines while still failing if batching ever stops paying for
+    # itself.
+    "solver.mc_batch_speedup": (1.1, None),
     # Hierarchical Schur path on the 33k-unknown synthesized clock tree
     # (bigtree level 6, one clock edge) against flat sparse — the largest
     # size flat sparse still runs in CI time.  Measured ~6.7x (the flat

@@ -129,8 +129,9 @@ echo "ok: sks-report flame/attribute + $FLAME_FILE"
 
 echo "=== postmortem bundle smoke check ==="
 # A deliberately singular netlist (two ideal sources pinning one node to
-# different voltages) must fail, emit a self-contained bundle, explain to
-# the singular_system class, and reproduce from the bundle alone.
+# different voltages) must fail, emit a self-contained bundle that names
+# the LU back end that ran, explain to the singular_system class, and
+# reproduce from the bundle alone.
 PM_DIR=build-ci/postmortem
 rm -rf "$PM_DIR"
 mkdir -p "$PM_DIR"
@@ -147,6 +148,8 @@ if "$SKS_REPORT" run "$PM_DIR/singular.sp" --dc \
 fi
 BUNDLE=$(ls -d "$PM_DIR"/bundles/pm_* | head -1)
 [ -n "$BUNDLE" ] || { echo "no postmortem bundle written" >&2; exit 1; }
+grep -q '"solver_mode": "sparse"' "$BUNDLE/manifest.json" \
+  || { echo "manifest does not name the sparse LU back end" >&2; exit 1; }
 "$SKS_REPORT" explain "$BUNDLE" | tee "$PM_DIR/explain.log" \
     | grep -q "singular_system" \
   || { echo "explain did not classify singular_system" >&2; exit 1; }

@@ -448,11 +448,10 @@ int explain_bundle(const std::string& bundle_dir) {
 }
 
 sks::esim::SolverMode parse_solver_mode(const std::string& name) {
-  if (name == "dense") return sks::esim::SolverMode::kDense;
   if (name == "sparse") return sks::esim::SolverMode::kSparse;
   if (name == "hierarchical") return sks::esim::SolverMode::kHierarchical;
   sks::check(name == "auto", "unknown solver mode '", name,
-             "' (use dense/sparse/hierarchical/auto)");
+             "' (use sparse/hierarchical/auto)");
   return sks::esim::SolverMode::kAuto;
 }
 
@@ -532,8 +531,7 @@ int run_netlist(const std::vector<std::string>& args) {
   sks::check(!netlist_path.empty(), "run: no netlist given");
 
   sks::esim::Simulator sim(sks::esim::parse_spice(read_file(netlist_path)));
-  // No --solver flag leaves the simulator's own selection (auto threshold
-  // or the SKS_SOLVER environment override) in force.
+  // No --solver flag leaves the simulator's automatic selection in force.
   if (!solver.empty()) sim.set_solver_mode(parse_solver_mode(solver));
   if (!postmortem_dir.empty()) sim.set_postmortem_dir(postmortem_dir);
   try {
@@ -1317,7 +1315,7 @@ int usage() {
                "  sks-report explain BUNDLE_DIR\n"
                "  sks-report repro   BUNDLE_DIR\n"
                "  sks-report run     NETLIST.sp [--dc|--tran] "
-               "[--solver dense|sparse|hierarchical|auto] "
+               "[--solver sparse|hierarchical|auto] "
                "[--postmortem DIR]\n"
                "  sks-report history HISTORY.jsonl [REPORT.json...]\n"
                "  sks-report sentinel HISTORY.jsonl [--lambda L] [--k K] "
