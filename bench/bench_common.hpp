@@ -1,20 +1,16 @@
 // Shared helpers for the figure/table reproduction binaries.
 #pragma once
 
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "esim/batch.hpp"
 #include "esim/trace.hpp"
 #include "esim/vcd.hpp"
-#include "obs/expose.hpp"
-#include "obs/journal.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -56,65 +52,19 @@ inline RunOutputs& run_outputs() {
   return outputs;
 }
 
-// Live exposition (--expose PORT or SKS_EXPOSE=PORT; port 0 = ephemeral):
-// start the obs::Exposer so the run can be scraped while it executes.
-// The bound port is printed (and flushed — ci.sh polls a redirected log
-// for it) as "[expose] serving ... on 127.0.0.1:<port>".  Failure to bind
-// warns and leaves the run otherwise untouched.
-inline void expose_init(long port) {
-  if (port < 0 || port > 65535) {
-    std::cerr << "[expose] ignoring out-of-range port " << port << "\n";
-    return;
-  }
-  const std::uint16_t bound =
-      obs::exposer().start(static_cast<std::uint16_t>(port));
-  if (bound != 0) {
-    std::cout << "[expose] serving /metrics /healthz /readyz on 127.0.0.1:"
-              << bound << std::endl;
-  }
-}
-
-// End-of-run hook, called by write_profile_report after the report is on
-// disk: hold the listener open so a scraper can take a final sample whose
-// counters match the just-written BENCH_*.json, then shut it down.
-// SKS_EXPOSE_LINGER_S bounds the wait (default 0 = stop immediately); the
-// wait ends early once one post-report /metrics scrape has landed.
-inline void expose_finish() {
-  if (!obs::exposer().enabled()) return;
-  const long linger_s =
-      std::getenv("SKS_EXPOSE_LINGER_S") == nullptr
-          ? 0
-          : std::atol(std::getenv("SKS_EXPOSE_LINGER_S"));
-  if (linger_s > 0) {
-    const std::uint64_t scrapes_before =
-        obs::registry().counter("obs.expose_scrapes").value();
-    std::cout << "[expose] report complete; lingering up to " << linger_s
-              << "s for a final scrape on 127.0.0.1:"
-              << obs::exposer().port() << std::endl;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(linger_s);
-    while (std::chrono::steady_clock::now() < deadline &&
-           obs::registry().counter("obs.expose_scrapes").value() ==
-               scrapes_before) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-  }
-  obs::exposer().stop();
-}
-
 // Run telemetry: `--profile` on the command line (or SKS_PROFILE=1 in the
-// environment) turns on the obs layer — scoped timers and the solver event
-// journal — for the whole run; `write_profile_report()` then dumps a
+// environment) turns on the obs layer — the span timers and memory
+// gauges — for the whole run; `write_profile_report()` then dumps a
 // machine-readable BENCH_<name>.json next to the binary's cwd.  With
 // profiling off both calls are no-ops, keeping the figures' wall times
 // untouched.
 //
 // Tracing: `--trace-out FILE` (or SKS_TRACE=1, default path
 // TRACE_<name>.json) additionally records obs spans — per-solve, per-fault,
-// per-MC-sample — and exports them as Chrome trace-event JSON for
-// Perfetto / chrome://tracing.  Waveform benches also honour
-// `--vcd-out FILE` / `--csv-out FILE` for GTKWave-compatible VCD and flat
-// CSV dumps of their node-voltage traces.
+// per-MC-sample — and the solver's fallback / fault-verdict markers, and
+// exports them as Chrome trace-event JSON for Perfetto / chrome://tracing.
+// Waveform benches also honour `--vcd-out FILE` / `--csv-out FILE` for
+// GTKWave-compatible VCD and flat CSV dumps of their node-voltage traces.
 //
 // Parallelism: every driver also understands `--threads N` (equivalent to
 // SKS_THREADS=N), which sets the process-wide default worker count the
@@ -125,21 +75,12 @@ inline void expose_finish() {
 // streams append-only JSONL snapshots of the live metrics/progress state
 // while the run is in flight — see obs/timeline.hpp for the schema and the
 // SKS_TIMELINE_EVERY / SKS_TIMELINE_WALL_S / SKS_TIMELINE_SIM_S cadence
-// knobs.  `sks-report tail FILE` renders it live.
+// knobs.  `sks-report tail FILE --follow` renders it live: this is the
+// run's live view.
 inline bool profile_init(int argc, char** argv) {
   bool on = obs::enabled();  // SKS_PROFILE already honoured by the obs layer
-  // Live exposition: --expose PORT wins over SKS_EXPOSE=PORT; either
-  // starts the listener before the workload so mid-run scrapes see the
-  // campaign in flight.
-  long expose_port = -1;
-  if (const char* env = std::getenv("SKS_EXPOSE")) {
-    expose_port = std::atol(env);
-  }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--profile") == 0) on = true;
-    if (std::strcmp(argv[i], "--expose") == 0 && i + 1 < argc) {
-      expose_port = std::atol(argv[i + 1]);
-    }
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       const long n = std::atol(argv[i + 1]);
       if (n > 0) par::set_default_threads(static_cast<std::size_t>(n));
@@ -160,11 +101,7 @@ inline bool profile_init(int argc, char** argv) {
       obs::timeline().configure(topt);
     }
   }
-  if (on) {
-    obs::set_enabled(true);
-    obs::journal().set_enabled(true);
-  }
-  if (expose_port >= 0) expose_init(expose_port);
+  if (on) obs::set_enabled(true);
   return on;
 }
 
@@ -203,7 +140,6 @@ inline void write_profile_report(const std::string& name) {
                     std::to_string(esim::resolve_batch_lanes(
                         0, esim::kDefaultBatchLanes)));
     report.capture_registry();
-    report.capture_journal();
     report.capture_trace();
     // A traced run also embeds the aggregated call-tree profile and writes
     // the collapsed-stack text next to the report (flamegraph.pl input).
@@ -224,7 +160,6 @@ inline void write_profile_report(const std::string& name) {
     std::cout << "\n[profile] run report written to " << path << std::endl;
   }
   write_trace_report(name);
-  expose_finish();
 }
 
 // Waveform export for the figure benches; no-op unless --vcd-out /

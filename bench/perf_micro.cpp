@@ -7,7 +7,7 @@
 // trajectory can track both wall times (google-benchmark's own output) and
 // the work done per iteration (NR iterations, LU factorizations) — a
 // regression in either shows up in the diff of this file across PRs.
-// `--profile` additionally enables the scoped timers and the event journal.
+// `--profile` additionally enables the span timers.
 
 #include <benchmark/benchmark.h>
 
@@ -259,10 +259,6 @@ FixedWorkload fixed_workload_counters() {
   obs::registry().counter("obs.timeline_snapshots");
   obs::registry().counter("obs.profile_builds");
   obs::registry().counter("obs.mem_gauge_updates");
-  // Exposition guard: gate runs never pass --expose, so the scrape counter
-  // must stay exactly zero — proof the live-metrics listener costs the
-  // solver nothing when it is not asked for.
-  obs::registry().counter("obs.expose_scrapes");
 
   const cell::Technology tech;
   {  // one transient sensor edge (the BM_TransientSensorEdge kernel)
@@ -424,7 +420,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg(argv[i]);
     if (arg == "--profile") continue;
-    if (arg == "--threads" || arg == "--expose") {
+    if (arg == "--threads") {
       if (i + 1 < argc) ++i;
       continue;
     }
@@ -443,8 +439,8 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  // Always emit the machine-readable counter report; timers/journal ride
-  // along only under --profile (they perturb the measured loops).  Memory
+  // Always emit the machine-readable counter report; timers ride along
+  // only under --profile (they perturb the measured loops).  Memory
   // gauges are sampled unconditionally (one cold getrusage) so the bench
   // history carries a peak-RSS / page-fault trend even in plain runs.
   obs::record_mem_gauges();
@@ -456,7 +452,6 @@ int main(int argc, char** argv) {
                   std::to_string(esim::resolve_batch_lanes(
                       0, esim::kDefaultBatchLanes)));
   report.capture_registry();
-  if (obs::enabled()) report.capture_journal();
   // A traced run (--trace-out / SKS_TRACE=1) also embeds the aggregated
   // call-tree profile, which is what `sks-report attribute` diffs when the
   // bench gate trips.
@@ -469,6 +464,5 @@ int main(int argc, char** argv) {
   }
   report.write_json("BENCH_perf_micro.json");
   std::cout << "perf counters written to BENCH_perf_micro.json" << std::endl;
-  bench::expose_finish();
   return 0;
 }

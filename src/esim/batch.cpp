@@ -1144,8 +1144,7 @@ std::vector<BatchLaneOutcome> BatchSimulator::run_transients(
   const obs::Stopwatch wall;
   static obs::TimerStat& batch_timer =
       obs::registry().timer("esim.batch_transients");
-  obs::ScopedTimer timer(batch_timer);
-  obs::Span span("esim.batch_transients");
+  obs::Span span("esim.batch_transients", batch_timer);
   span.arg("lanes", static_cast<double>(K));
 
   im.bstats = BatchRunStats{};

@@ -11,8 +11,6 @@
 #include "esim/schur.hpp"
 #include "esim/sparse.hpp"
 #include "obs/diag.hpp"
-#include "obs/expose.hpp"
-#include "obs/journal.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
@@ -555,10 +553,6 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, double h,
         max_res = std::max(max_res, std::fabs(ws_.f[i]));
       }
       if (max_res < options.itol) {
-        if (obs::journal().enabled()) {
-          obs::journal().record({obs::EventType::kNewtonConverged, t, h, iter,
-                                 h <= 0.0 ? "dc" : "transient"});
-        }
         if (diag != nullptr) {
           obs::record_solve_health(max_res, last_pivot_growth, last_cond_est);
         }
@@ -699,9 +693,9 @@ bool Simulator::dc_solve(std::vector<double>& x, double t,
   for (const double max_step : {options.max_step, 0.1, 0.02}) {
     if (!first_rung) {
       ++stats_.dc_damped_retries;
-      if (obs::journal().enabled()) {
-        obs::journal().record({obs::EventType::kNewtonFallback, t, max_step, 0,
-                               "dc damped retry"});
+      if (obs::tracer().enabled()) {
+        obs::trace_marker(obs::Marker::kNewtonFallback, t, max_step, 0,
+                          "dc damped retry");
       }
     }
     first_rung = false;
@@ -723,9 +717,9 @@ bool Simulator::dc_solve(std::vector<double>& x, double t,
     // geometrically down to the floor, reusing each solution as the next
     // starting point.
     ++stats_.dc_gmin_ladders;
-    if (obs::journal().enabled()) {
-      obs::journal().record(
-          {obs::EventType::kNewtonFallback, t, 0.0, 0, "gmin stepping"});
+    if (obs::tracer().enabled()) {
+      obs::trace_marker(obs::Marker::kNewtonFallback, t, 0.0, 0,
+                        "gmin stepping");
     }
     trial.assign(x.size(), 0.0);
     bool ladder_ok = true;
@@ -744,9 +738,9 @@ bool Simulator::dc_solve(std::vector<double>& x, double t,
 
     // Strategy 3: source stepping — ramp all sources from 0 to full value.
     ++stats_.dc_source_ladders;
-    if (obs::journal().enabled()) {
-      obs::journal().record(
-          {obs::EventType::kNewtonFallback, t, 0.0, 0, "source stepping"});
+    if (obs::tracer().enabled()) {
+      obs::trace_marker(obs::Marker::kNewtonFallback, t, 0.0, 0,
+                        "source stepping");
     }
     trial.assign(x.size(), 0.0);
     bool sources_ok = true;
@@ -819,10 +813,10 @@ void Simulator::attach_postmortem(ConvergenceError& err,
   try {
     const std::string bundle = write_postmortem_bundle(context, popt);
     err.set_bundle_path(bundle);
-    if (obs::journal().enabled()) {
-      obs::journal().record({obs::EventType::kWarning, err.sim_time(), 0.0,
-                             static_cast<int>(err.iterations()),
-                             "postmortem bundle: " + bundle});
+    if (obs::tracer().enabled()) {
+      obs::trace_marker(obs::Marker::kWarning, err.sim_time(), 0.0,
+                        static_cast<int>(err.iterations()),
+                        "postmortem bundle: " + bundle);
     }
   } catch (const std::exception&) {
     // A full disk or unwritable directory must not mask the solver error.
@@ -840,9 +834,7 @@ Simulator::DcSolution Simulator::dc_solution(
   // Handle resolved once per process: a parallel campaign enters here for
   // every sample, and re-hashing the timer name per solve is measurable.
   static obs::TimerStat& dc_timer = obs::registry().timer("esim.dc_solution");
-  obs::ScopedTimer timer(dc_timer);
-  obs::Span span("esim.dc_solution");
-  obs::ScopedRunPhase phase(obs::RunPhase::kDc);
+  obs::Span span("esim.dc_solution", dc_timer);
   std::vector<double> x(unknown_count(), 0.0);
   if (node_guess != nullptr) {
     sks::check(node_guess->size() == circuit_.node_count(),
@@ -901,9 +893,7 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
   const obs::Stopwatch wall;
   static obs::TimerStat& transient_timer =
       obs::registry().timer("esim.run_transient");
-  obs::ScopedTimer timer(transient_timer);
-  obs::Span span("esim.run_transient");
-  obs::ScopedRunPhase phase(obs::RunPhase::kTransient);
+  obs::Span span("esim.run_transient", transient_timer);
   span.arg("t_end", options.t_end).arg("dt", options.dt);
 
   const std::size_t n_nodes = circuit_.node_count();
@@ -1058,9 +1048,9 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
         if (options.adaptive && max_dv > options.dv_max &&
             h_try > 4.0 * options.dt_min) {
           ++stats_.steps_rejected;
-          if (obs::journal().enabled()) {
-            obs::journal().record(
-                {obs::EventType::kStepRejected, t, h_try, 0, "dv_max"});
+          if (obs::tracer().enabled()) {
+            obs::trace_marker(obs::Marker::kStepRejected, t, h_try, 0,
+                              "dv_max");
           }
           h_try *= 0.5;
           if (h_try < dt_current) dt_current = h_try;
@@ -1068,9 +1058,9 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
         }
         if (solved_with_trap != want_trap && want_trap) {
           ++stats_.be_fallbacks;
-          if (obs::journal().enabled()) {
-            obs::journal().record({obs::EventType::kNewtonFallback, t, h_try, 0,
-                                   "trapezoidal -> BE"});
+          if (obs::tracer().enabled()) {
+            obs::trace_marker(obs::Marker::kNewtonFallback, t, h_try, 0,
+                              "trapezoidal -> BE");
           }
         }
         refresh_cap_state(h_try, solved_with_trap);
@@ -1088,9 +1078,9 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
         break;
       }
       ++stats_.dt_halvings;
-      if (obs::journal().enabled()) {
-        obs::journal().record({obs::EventType::kDtHalved, t, h_try * 0.5, 0,
-                               "newton failure"});
+      if (obs::tracer().enabled()) {
+        obs::trace_marker(obs::Marker::kDtHalved, t, h_try * 0.5, 0,
+                          "newton failure");
       }
       h_try *= 0.5;
       // Like the dv_max rejection path: remember that this step size just
@@ -1122,9 +1112,6 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
     if (hit_bp && completed_interval) {
       ++next_bp;
       ++stats_.breakpoints_hit;
-      if (obs::journal().enabled()) {
-        obs::journal().record({obs::EventType::kBreakpoint, t, 0.0, 0, ""});
-      }
       be_next = true;  // damp the new corner with one BE step
     } else {
       be_next = false;

@@ -27,7 +27,7 @@
 //
 // Concurrency: a Simulator is share-nothing — it owns its circuit snapshot
 // and every piece of solver state, and touches nothing global except the
-// obs registry/journal (both concurrency-safe).  The parallel campaign
+// obs registry/tracer (both concurrency-safe).  The parallel campaign
 // drivers (sks::par) therefore run one Simulator per work item on worker
 // threads with no locking.  A single Simulator instance is NOT safe to
 // share across threads.

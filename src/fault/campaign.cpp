@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "esim/batch.hpp"
-#include "obs/expose.hpp"
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/timer.hpp"
@@ -109,11 +107,9 @@ CampaignReport run_campaign(const esim::Circuit& good_circuit,
   const obs::Stopwatch wall;
   static obs::TimerStat& campaign_timer =
       obs::registry().timer("fault.run_campaign");
-  obs::ScopedTimer timer(campaign_timer);
+  obs::Span campaign_span("fault.run_campaign", campaign_timer);
   const std::size_t threads =
       options.threads == 0 ? par::default_threads() : options.threads;
-  obs::Span campaign_span("fault.run_campaign");
-  obs::ScopedRunPhase phase(obs::RunPhase::kCampaign);
   campaign_span.arg("faults", static_cast<double>(universe.size()))
       .arg("threads", static_cast<double>(threads));
   const obs::Stopwatch good_wall;
@@ -220,9 +216,9 @@ CampaignReport run_campaign(const esim::Circuit& good_circuit,
           v.fault = universe[i];
           v.failure = oc.failure;
           v.bundle = oc.bundle;
-          if (obs::journal().enabled()) {
-            obs::journal().record({obs::EventType::kFaultVerdict, 0.0, 0.0, 0,
-                                   universe[i].label() + ": unsimulated"});
+          if (obs::tracer().enabled()) {
+            obs::trace_marker(obs::Marker::kFaultVerdict, 0.0, 0.0, 0,
+                              universe[i].label() + ": unsimulated");
           }
         }
       }

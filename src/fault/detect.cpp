@@ -6,8 +6,8 @@
 #include "cell/measure.hpp"
 #include "esim/engine.hpp"
 #include "esim/trace.hpp"
-#include "obs/journal.hpp"
 #include "obs/timer.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace sks::fault {
@@ -101,10 +101,10 @@ FaultVerdict test_fault(const esim::Circuit& good_circuit,
     verdict.seconds = stopwatch.seconds();
     verdict.failure = e.what();
     verdict.bundle = e.bundle_path();
-    if (obs::journal().enabled()) {
-      obs::journal().record({obs::EventType::kFaultVerdict, e.sim_time(), 0.0,
-                             static_cast<int>(e.iterations()),
-                             fault_to_test.label() + ": unsimulated"});
+    if (obs::tracer().enabled()) {
+      obs::trace_marker(obs::Marker::kFaultVerdict, e.sim_time(), 0.0,
+                        static_cast<int>(e.iterations()),
+                        fault_to_test.label() + ": unsimulated");
     }
     return verdict;
   }
@@ -135,12 +135,12 @@ FaultVerdict classify_fault(const Fault& fault_to_test,
     verdict.max_excess_iddq = std::max(verdict.max_excess_iddq, excess);
   }
   verdict.iddq_detected = verdict.max_excess_iddq > plan.iddq_threshold;
-  if (obs::journal().enabled()) {
-    obs::journal().record(
-        {obs::EventType::kFaultVerdict, 0.0, verdict.max_excess_iddq, 0,
-         fault_to_test.label() + (verdict.logic_detected  ? ": logic"
-                                  : verdict.iddq_detected ? ": iddq"
-                                                          : ": escape")});
+  if (obs::tracer().enabled()) {
+    const char* outcome = verdict.logic_detected  ? ": logic"
+                          : verdict.iddq_detected ? ": iddq"
+                                                  : ": escape";
+    obs::trace_marker(obs::Marker::kFaultVerdict, 0.0, verdict.max_excess_iddq,
+                      0, fault_to_test.label() + outcome);
   }
   return verdict;
 }

@@ -99,9 +99,9 @@ FaultVerdict test_fault(const esim::Circuit& good_circuit,
 
 // Classify an already-observed faulty circuit against the fault-free
 // reference: the detection-criteria half of test_fault (including the
-// journal record), shared by the scalar and batched campaign paths.  The
-// returned verdict carries the fault, the detection flags and the solver
-// stats of `faulty_observation`; the caller fills `seconds`.
+// fault_verdict trace marker), shared by the scalar and batched campaign
+// paths.  The returned verdict carries the fault, the detection flags and
+// the solver stats of `faulty_observation`; the caller fills `seconds`.
 FaultVerdict classify_fault(const Fault& fault_to_test,
                             const Observation& good_observation,
                             const Observation& faulty_observation,

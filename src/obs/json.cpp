@@ -60,6 +60,8 @@ class JsonParser {
   }
 
  private:
+  static constexpr std::size_t kMaxDepth = 512;
+
   void check_here(bool condition, const std::string& what) {
     sks::check(condition, "Json::parse: ", what, " at offset ", pos_);
   }
@@ -94,8 +96,16 @@ class JsonParser {
   Json parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // Bounded recursion: a hostile file of a million '[' must fail with
+      // a positioned error, not overflow the stack.
+      check_here(depth_ < kMaxDepth, "nesting deeper than " +
+                                         std::to_string(kMaxDepth) + " levels");
+      ++depth_;
+      Json v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       Json v;
       v.kind_ = Json::Kind::kString;
@@ -225,6 +235,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 Json Json::parse(const std::string& text) {

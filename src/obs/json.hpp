@@ -18,8 +18,8 @@ class Json {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  // Throws sks::Error (with byte offset context) on malformed input or
-  // trailing garbage.
+  // Throws sks::Error (with byte offset context) on malformed input,
+  // trailing garbage, or arrays/objects nested deeper than 512 levels.
   static Json parse(const std::string& text);
 
   Kind kind() const { return kind_; }

@@ -1,6 +1,5 @@
 #include "obs/mem.hpp"
 
-#include "obs/journal.hpp"
 #include "obs/trace.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -35,7 +34,7 @@ void record_mem_gauges(Registry& reg) {
   reg.gauge("mem.minor_page_faults")
       .set(static_cast<double>(m.minor_page_faults));
 
-  // Capacity (not fill) of the bounded telemetry buffers: what a bounded
+  // Capacity (not fill) of the bounded trace buffers: what a bounded
   // session has committed to retaining.
   std::uint64_t trace_bytes = 0;
   for (const auto& buffer : tracer().buffers()) {
@@ -43,8 +42,6 @@ void record_mem_gauges(Registry& reg) {
                    sizeof(TraceEvent);
   }
   reg.gauge("mem.trace_buffer_bytes").set(static_cast<double>(trace_bytes));
-  reg.gauge("mem.journal_buffer_bytes")
-      .set(static_cast<double>(journal().capacity() * sizeof(Event)));
 }
 
 void record_peak_bytes(Gauge& gauge, double bytes) {

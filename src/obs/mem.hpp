@@ -1,9 +1,8 @@
 // Memory accounting: process-level peak RSS / page-fault capture plus
 // `mem.*` byte gauges on the real retainers (sparse LU fill, the
-// BatchSimulator SoA stripes, retained waveforms, trace/journal buffer
-// capacity).
+// BatchSimulator SoA stripes, retained waveforms, trace buffer capacity).
 //
-// Two tiers, mirroring the ScopedTimer/Tracer cost discipline:
+// Two tiers, mirroring the Span/Tracer cost discipline:
 //
 //  * `record_mem_gauges()` is a *cold* end-of-run / per-snapshot sampler
 //    (one getrusage syscall + a handful of gauge stores).  It is NOT gated
@@ -39,9 +38,9 @@ struct MemStats {
 MemStats sample_mem_stats();
 
 // Cold sampler: sets mem.peak_rss_bytes / mem.major_page_faults /
-// mem.minor_page_faults from getrusage, and mem.trace_buffer_bytes /
-// mem.journal_buffer_bytes from the current buffer capacities.  Ungated;
-// call once at the end of a run and from timeline snapshots.
+// mem.minor_page_faults from getrusage, and mem.trace_buffer_bytes from
+// the current trace buffer capacities.  Ungated; call once at the end of a
+// run and from timeline snapshots.
 void record_mem_gauges(Registry& reg = registry());
 
 // Instrumented path: ratchet `gauge` up to `bytes` (max semantics) and

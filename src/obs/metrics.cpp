@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "obs/journal.hpp"
+#include "obs/trace.hpp"
 
 namespace sks::obs {
 
@@ -119,17 +119,14 @@ util::Histogram& Registry::histogram(const std::string& name, double lo,
     // The counter bump goes through the map directly — our mutex is not
     // recursive, so this->counter() would deadlock here.
     get_or_create(counters_, "obs.histogram_range_mismatch").inc();
-    lock.unlock();  // entry addresses are stable; journal() locks its own
-    if (journal().enabled()) {
+    lock.unlock();  // entry addresses are stable
+    if (tracer().enabled()) {
       std::ostringstream msg;
       msg << "histogram '" << name << "' re-requested with range [" << lo
           << ", " << hi << "]/" << bins << " bins; keeping existing ["
           << existing.lo() << ", " << existing.hi() << "]/"
           << existing.bins();
-      Event event;
-      event.type = EventType::kWarning;
-      event.detail = msg.str();
-      journal().record(std::move(event));
+      trace_marker(Marker::kWarning, 0.0, 0.0, 0, msg.str());
     }
   }
   return existing;

@@ -7,9 +7,9 @@
 //    *always* live, so the engine can account NR iterations and LU
 //    factorizations without any mode check and the cost stays unmeasurable
 //    next to an LU solve;
-//  * anything that reads a clock (ScopedTimer, see timer.hpp) or allocates
-//    (Journal, see journal.hpp) is gated on the global `enabled()` flag and
-//    compiles down to one predictable branch when profiling is off;
+//  * anything that reads a clock (a Span's timer, see trace.hpp) is gated
+//    on the global `enabled()` flag and compiles down to one predictable
+//    branch when profiling is off;
 //  * registry entries are created on first use and live for the process
 //    lifetime at stable addresses, so callers may cache `Counter&`
 //    references across runs; `reset()` zeroes values but never invalidates
@@ -43,8 +43,9 @@
 
 namespace sks::obs {
 
-// Master switch for the *expensive* instrumentation (timers, journal
-// mirroring in hot paths).  Counters stay live regardless.
+// Master switch for the *expensive* instrumentation (span timers, memory
+// gauges in hot paths).  Counters stay live regardless.  Trace recording
+// has its own switch (tracer().enabled(), trace.hpp).
 bool enabled();
 void set_enabled(bool on);
 
@@ -100,8 +101,8 @@ class Gauge {
 };
 
 // Accumulated wall-time statistics of one named code region.  Lock-free:
-// count/total are relaxed adds, min/max are CAS loops, so a ScopedTimer
-// stop costs a handful of uncontended atomic operations.
+// count/total are relaxed adds, min/max are CAS loops, so a Span end
+// costs a handful of uncontended atomic operations.
 class TimerStat {
  public:
   void record_ns(std::uint64_t ns);
@@ -168,8 +169,8 @@ class Registry {
   // First call fixes the binning; later calls with the same name return the
   // existing histogram.  A later call with a *different* lo/hi/bins is a
   // caller bug: it still gets the existing histogram, but the mismatch is
-  // counted (`obs.histogram_range_mismatch`) and journaled as a warning
-  // instead of passing silently.
+  // counted (`obs.histogram_range_mismatch`) and traced as a warning
+  // marker instead of passing silently.
   util::Histogram& histogram(const std::string& name, double lo, double hi,
                              std::size_t bins);
 

@@ -95,6 +95,7 @@ void Report::capture_trace(const Tracer& tracer) {
   have_trace_ = true;
   trace_events_ = tracer.event_count();
   trace_dropped_ = tracer.dropped();
+  trace_instants_ = tracer.instant_counts();
 }
 
 void Report::capture_profile(const Tracer& tracer) {
@@ -104,21 +105,6 @@ void Report::capture_profile(const Tracer& tracer) {
 void Report::set_profile(Profile profile) {
   profile_ = std::move(profile);
   have_profile_ = !profile_.empty();
-}
-
-void Report::capture_journal(const Journal& j, std::size_t max_events) {
-  have_journal_ = true;
-  journal_recorded_ = j.total_recorded();
-  journal_dropped_ = j.dropped();
-  journal_counts_.clear();
-  for (const EventType type :
-       {EventType::kNewtonConverged, EventType::kNewtonFallback,
-        EventType::kStepRejected, EventType::kDtHalved, EventType::kBreakpoint,
-        EventType::kFaultVerdict}) {
-    const std::size_t n = j.count(type);
-    if (n > 0) journal_counts_.emplace_back(to_string(type), n);
-  }
-  journal_tail_ = j.tail(max_events);
 }
 
 namespace {
@@ -213,28 +199,16 @@ std::string Report::to_json() const {
     out << "}";
   }
 
-  if (have_journal_) {
-    out << ",\n  \"journal\": {\"recorded\": " << journal_recorded_
-        << ", \"dropped\": " << journal_dropped_ << ", \"counts\": {";
-    for (std::size_t i = 0; i < journal_counts_.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << '"' << journal_counts_[i].first
-          << "\": " << journal_counts_[i].second;
-    }
-    out << "}, \"events\": [";
-    for (std::size_t i = 0; i < journal_tail_.size(); ++i) {
-      const Event& e = journal_tail_[i];
-      out << (i == 0 ? "" : ", ") << "{\"type\": \"" << to_string(e.type)
-          << "\", \"t\": " << json_number(e.t)
-          << ", \"value\": " << json_number(e.value)
-          << ", \"iterations\": " << e.iterations << ", \"detail\": \""
-          << json_escape(e.detail) << "\"}";
-    }
-    out << "]}";
-  }
-
   if (have_trace_) {
     out << ",\n  \"trace\": {\"events\": " << trace_events_
-        << ", \"dropped\": " << trace_dropped_ << "}";
+        << ", \"dropped\": " << trace_dropped_ << ", \"instants\": {";
+    bool first_instant = true;
+    for (const auto& [name, n] : trace_instants_) {
+      out << (first_instant ? "" : ", ") << '"' << json_escape(name)
+          << "\": " << n;
+      first_instant = false;
+    }
+    out << "}}";
   }
 
   if (have_profile_) {
@@ -318,8 +292,8 @@ std::string Report::to_csv() const {
     out << "stream," << esc(s.name) << ",p50," << json_number(s.p50) << "\n";
     out << "stream," << esc(s.name) << ",p99," << json_number(s.p99) << "\n";
   }
-  for (const auto& [k, v] : journal_counts_) {
-    out << "journal," << esc(k) << ",count," << v << "\n";
+  for (const auto& [k, v] : trace_instants_) {
+    out << "trace," << esc(k) << ",count," << v << "\n";
   }
   for (const ProfileNode& n : profile_.nodes()) {
     out << "profile," << esc(n.path) << ",count," << n.count << "\n";

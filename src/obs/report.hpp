@@ -17,11 +17,8 @@
 //     "streams":  { "<name>": { "count": n, "mean": x, "stddev": x,
 //                               "min": x, "max": x, "p50": x, "p90": x,
 //                               "p99": x }, ... },
-//     "journal":  { "recorded": n, "dropped": n,
-//                   "counts": { "<event_type>": n, ... },
-//                   "events": [ { "type": "...", "t": x, "value": x,
-//                                 "iterations": n, "detail": "..." }, .. ] },
-//     "trace":    { "events": n, "dropped": n },
+//     "trace":    { "events": n, "dropped": n,
+//                   "instants": { "<marker name>": n, ... } },
 //     "profile":  { "window_s": s,
 //                   "nodes": [ { "path": "a;b;c", "name": "c", "depth": d,
 //                                "count": n, "total_s": s, "self_s": s,
@@ -33,14 +30,19 @@
 //   }
 //
 // Sections are omitted when empty, so a counters-only report stays small.
+// `trace.instants` counts the recorded instant events per name (the typed
+// markers of trace.hpp: newton_fallback, dt_halved, fault_verdict, ...),
+// so a traced report says how often each fallback fired.  Reports written
+// before the trace instants replaced the event journal may still carry a
+// "journal" section; readers ignore it.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -63,14 +65,10 @@ class Report {
   // (threads, lane width) on top via set_meta.
   void capture_provenance();
 
-  // Snapshot every metric currently in the registry / journal.  `max_events`
-  // bounds the embedded journal tail; counts cover the whole (bounded)
-  // journal.
+  // Snapshot every metric currently in the registry.
   void capture_registry(const Registry& reg = registry());
-  void capture_journal(const Journal& j = journal(),
-                       std::size_t max_events = 64);
-  // Trace-buffer saturation summary (span count + drop counter), so a
-  // report shows when `--trace-out` silently lost events.
+  // Trace-buffer summary: event count and drop counter (so a report shows
+  // when `--trace-out` silently lost events) plus instant counts per name.
   void capture_trace(const Tracer& tracer = obs::tracer());
   // Aggregate the tracer's spans into a call-tree profile (profile.hpp)
   // embedded as the `profile` section.  Call after writers quiesced; a
@@ -115,13 +113,9 @@ class Report {
   bool have_trace_ = false;
   std::uint64_t trace_events_ = 0;
   std::uint64_t trace_dropped_ = 0;
+  std::map<std::string, std::uint64_t> trace_instants_;
   bool have_profile_ = false;
   Profile profile_;
-  bool have_journal_ = false;
-  std::size_t journal_recorded_ = 0;
-  std::size_t journal_dropped_ = 0;
-  std::vector<std::pair<std::string, std::size_t>> journal_counts_;
-  std::vector<Event> journal_tail_;
 };
 
 }  // namespace sks::obs

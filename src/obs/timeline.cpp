@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "obs/journal.hpp"
 #include "obs/json.hpp"
 #include "obs/mem.hpp"
 #include "obs/metrics.hpp"
@@ -288,8 +287,6 @@ std::uint64_t MetricsTimeline::snapshot_locked(const std::string& label,
     }
     out << "}";
   }
-  out << ", \"journal\": {\"recorded\": " << journal().total_recorded()
-      << ", \"dropped\": " << journal().dropped() << "}";
   out << ", \"trace\": {\"events\": " << tracer().event_count()
       << ", \"dropped\": " << tracer().dropped() << "}";
   out << "}\n";

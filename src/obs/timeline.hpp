@@ -12,12 +12,14 @@
 //    "timers": {"<name>": {"count": n, "total_s": x}},
 //    "streams": {"<name>": {"count": n, "mean": x, "stddev": x, "min": x,
 //                           "max": x, "p50": x, "p90": x, "p99": x}},
-//    "journal": {"recorded": n, "dropped": n},
 //    "trace": {"events": n, "dropped": n}}
 //
-// `seq` is strictly monotone within a process; the journal/trace blocks
-// surface the drop counters of every bounded buffer so silent saturation
-// is visible in each snapshot, not only at the end of the run.
+// `seq` is strictly monotone within a process; the trace block surfaces
+// the drop counter of the bounded trace buffers so silent saturation is
+// visible in each snapshot, not only at the end of the run.
+//
+// This file is the run's live view: `sks-report tail FILE --follow`
+// renders the newest snapshot while the run is in flight.
 //
 // Cadence — three independent triggers, all optional:
 //   * every N committed items (OrderedSink commit order, so the progress
@@ -28,7 +30,7 @@
 //     on_sim_time() per accepted step — meant for one long soak transient,
 //     not for swarms of short parallel solves).
 //
-// Cost model, mirroring ScopedTimer: with the timeline disabled (the
+// Cost model, mirroring Span: with the timeline disabled (the
 // default) every hook is one relaxed atomic load and a branch — no clock
 // read, no lock, no allocation — so the hooks stay in place permanently.
 //
@@ -158,7 +160,7 @@ class MetricsTimeline {
   double next_sim_t_ = 0.0;
 };
 
-// Process-wide timeline (mirrors registry()/journal()/tracer()).
+// Process-wide timeline (mirrors registry()/tracer()).
 MetricsTimeline& timeline();
 
 }  // namespace sks::obs

@@ -1,57 +1,11 @@
-// RAII scoped wall-time measurement against a registry TimerStat.
-//
-// Cost model: when obs::enabled() is false the constructor is a single
-// branch — no clock read, no registry lookup, no allocation — so timers can
-// stay in place around solver entry points permanently.  When enabled, each
-// scope costs two steady_clock reads plus a few relaxed atomic adds into
-// the (thread-safe) TimerStat; campaign workers time regions concurrently
-// without locks.  Hot paths should cache the TimerStat& once (engine entry
-// points do) so the name is never re-hashed per run.
+// Always-on coarse wall-time measurement.  Scoped timing against a
+// registry TimerStat is obs::Span's job (trace.hpp): built with a stat it
+// records its duration there when obs::enabled() is on.
 #pragma once
 
 #include <chrono>
-#include <string>
-
-#include "obs/metrics.hpp"
 
 namespace sks::obs {
-
-class ScopedTimer {
- public:
-  // Accumulates into the given stat (caller controls the registry entry).
-  explicit ScopedTimer(TimerStat& stat)
-      : stat_(enabled() ? &stat : nullptr) {
-    if (stat_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-
-  // Accumulates into registry().timer(name); the name lookup itself is
-  // skipped when disabled.
-  explicit ScopedTimer(const std::string& name)
-      : stat_(enabled() ? &registry().timer(name) : nullptr) {
-    if (stat_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() { stop(); }
-
-  // Early stop (idempotent); returns the elapsed seconds recorded, 0 when
-  // disabled.
-  double stop() {
-    if (stat_ == nullptr) return 0.0;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    stat_->record_ns(static_cast<std::uint64_t>(ns));
-    stat_ = nullptr;
-    return static_cast<double>(ns) * 1e-9;
-  }
-
- private:
-  TimerStat* stat_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 // Plain stopwatch for always-on coarse timing (per-fault, per-MC-sample
 // wall time) where one clock read per item is negligible by construction.

@@ -93,6 +93,18 @@ std::uint64_t Tracer::dropped() const {
   return n;
 }
 
+std::map<std::string, std::uint64_t> Tracer::instant_counts() const {
+  std::map<std::string, std::uint64_t> counts;
+  for (const auto& buffer : buffers()) {
+    const std::size_t n = buffer->size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const TraceEvent& e = buffer->event(i);
+      if (e.phase == 'i') ++counts[e.name];
+    }
+  }
+  return counts;
+}
+
 std::string Tracer::chrome_trace_json() const {
   // Chrome trace-event format (JSON object flavour): ts/dur in
   // microseconds, one pid for the whole process, per-thread tids with
@@ -164,6 +176,30 @@ void trace_instant(const char* name, std::vector<TraceArg> args) {
   tracer().thread_buffer()->push(std::move(event));
 }
 
+const char* to_string(Marker marker) {
+  switch (marker) {
+    case Marker::kNewtonFallback: return "newton_fallback";
+    case Marker::kStepRejected: return "step_rejected";
+    case Marker::kDtHalved: return "dt_halved";
+    case Marker::kFaultVerdict: return "fault_verdict";
+    case Marker::kWarning: return "warning";
+  }
+  return "unknown";
+}
+
+void trace_marker(Marker marker, double t, double value, int iterations,
+                  const std::string& detail) {
+  if (!tracer().enabled()) return;
+  std::vector<TraceArg> args;
+  args.push_back({"t", json_number(t)});
+  args.push_back({"value", json_number(value)});
+  if (iterations != 0) args.push_back({"iterations", json_number(iterations)});
+  if (!detail.empty()) {
+    args.push_back({"detail", '"' + json_escape(detail) + '"'});
+  }
+  trace_instant(to_string(marker), std::move(args));
+}
+
 Span& Span::arg(const char* key, double value) {
   if (buffer_ != nullptr) args_.push_back({key, json_number(value)});
   return *this;
@@ -180,17 +216,23 @@ Span& Span::arg(const char* key, const char* value) {
   return arg(key, std::string(value));
 }
 
-void Span::end() {
-  if (buffer_ == nullptr) return;
-  TraceEvent event;
-  event.phase = 'X';
-  event.name = name_;
-  event.ts_ns = start_ns_;
+double Span::end() {
+  if (stat_ == nullptr && buffer_ == nullptr) return 0.0;
   const std::uint64_t now = tracer().now_ns();
-  event.dur_ns = now > start_ns_ ? now - start_ns_ : 0;
-  event.args = std::move(args_);
-  buffer_->push(std::move(event));
+  const std::uint64_t dur = now > start_ns_ ? now - start_ns_ : 0;
+  if (stat_ != nullptr) stat_->record_ns(dur);
+  if (buffer_ != nullptr) {
+    TraceEvent event;
+    event.phase = 'X';
+    event.name = name_;
+    event.ts_ns = start_ns_;
+    event.dur_ns = dur;
+    event.args = std::move(args_);
+    buffer_->push(std::move(event));
+  }
+  stat_ = nullptr;
   buffer_ = nullptr;
+  return static_cast<double>(dur) * 1e-9;
 }
 
 }  // namespace sks::obs

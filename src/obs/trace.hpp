@@ -3,38 +3,47 @@
 // (viewable in Perfetto or chrome://tracing).
 //
 // This is the "where did the time go" channel of the telemetry layer:
-// counters (metrics.hpp) aggregate totals, the journal (journal.hpp) keeps
-// the most recent solver history, and the tracer keeps a *timeline* — one
-// track per thread (the par::ThreadPool workers name their tracks), every
-// solve / fault test / MC sample a span with args (fault label, sample
-// index, NR iterations, dt), plus instant markers mirrored from the
-// Journal.
+// counters (metrics.hpp) aggregate totals, and the tracer keeps a
+// *timeline* — one track per thread (the par::ThreadPool workers name
+// their tracks), every solve / fault test / MC sample a span with args
+// (fault label, sample index, NR iterations, dt), plus typed marker
+// instants for the moments the solver leaves its fast path (Newton
+// fallback, step rejection, dt halving) and for fault verdicts and
+// warnings.
 //
-// Cost model, mirroring ScopedTimer:
+// A Span is also the scope timer: built with a registry TimerStat it
+// records its duration there when obs::enabled() is on, and pushes a trace
+// event when the tracer is on.  The two switches are independent; one
+// clock read per end serves both.
 //
-//  * disabled (the default): a Span constructor is one relaxed atomic load
-//    and a branch — no clock read, no allocation — so spans stay in place
-//    around solver entry points permanently;
+// Cost model:
+//
+//  * both switches off (the default): a Span constructor is two relaxed
+//    atomic loads and a branch — no clock read, no allocation — so spans
+//    stay in place around solver entry points permanently;
 //  * enabled: recording is lock-free on the hot path.  Each thread owns a
 //    bounded buffer (registered once under a cold mutex); pushes touch only
 //    thread-local state and publish with one release store.  At capacity
 //    the newest events are dropped and counted — a bounded session never
-//    reallocates while workers record.
+//    reallocates while workers record.  Timer stats are plain atomics.
 //
 // Concurrency: snapshots (`buffers()`, `chrome_trace_json()`) read each
 // buffer's published prefix through an acquire load, so they are safe at
 // any time and see every event published before the snapshot; exact
 // completeness is guaranteed once the writers have quiesced (after a
 // campaign's parallel_for returned — same contract as the Registry).
-// `clear()` requires quiesced writers, like Journal::events().
+// `clear()` requires quiesced writers.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace sks::obs {
 
@@ -119,6 +128,8 @@ class Tracer {
   std::vector<std::shared_ptr<const TraceBuffer>> buffers() const;
   std::size_t event_count() const;
   std::uint64_t dropped() const;
+  // Recorded instant ('i') events per name, sorted by name.
+  std::map<std::string, std::uint64_t> instant_counts() const;
 
   // Chrome trace-event JSON: {"traceEvents": [...]} with process/thread
   // metadata, complete ('X') and instant ('i') events, ts/dur in
@@ -142,7 +153,7 @@ class Tracer {
   std::vector<std::shared_ptr<TraceBuffer>> buffers_;
 };
 
-// Process-wide tracer the spans record into (mirrors registry()/journal()).
+// Process-wide tracer the spans record into (mirrors registry()).
 Tracer& tracer();
 
 // Sticky name for the calling thread's trace track ("par.worker-3"); cheap
@@ -153,34 +164,63 @@ void set_trace_thread_name(std::string name);
 // tracer().enabled() so building the args is also skipped when off.
 void trace_instant(const char* name, std::vector<TraceArg> args = {});
 
+// Typed marker instants.  The first three mark the solver leaving its fast
+// path; a report's trace section counts instants by name, so a traced
+// report says how often each fired.
+enum class Marker {
+  kNewtonFallback,  // continuation / damping / BE fallback engaged (detail)
+  kStepRejected,    // adaptive control rejected an accepted solve (value=dt)
+  kDtHalved,        // transient step halved after a Newton failure (value=dt)
+  kFaultVerdict,    // one fault tested (detail = label + verdict)
+  kWarning,         // telemetry misuse / postmortem notice (detail)
+};
+
+const char* to_string(Marker marker);
+
+// Marker instant with args `t` (simulation time, s) and `value` (dt,
+// excess IDDQ, ...), then `iterations` when nonzero and `detail` when
+// non-empty.  Callers gate on tracer().enabled() so the detail string is
+// not built when tracing is off.
+void trace_marker(Marker marker, double t, double value, int iterations = 0,
+                  const std::string& detail = {});
+
 // RAII span: records a complete ('X') event covering its scope on the
-// calling thread's track.  Args attach lazily and are no-ops when tracing
-// is off, so instrumented code needs no mode checks of its own.
+// calling thread's track when tracing is on, and — when built with a
+// TimerStat — its duration into that stat when obs::enabled() is on.  Args
+// attach lazily and are no-ops when tracing is off, so instrumented code
+// needs no mode checks of its own.
 class Span {
  public:
-  explicit Span(const char* name)
-      : buffer_(tracer().enabled() ? tracer().thread_buffer() : nullptr) {
-    if (buffer_ != nullptr) {
-      name_ = name;
-      start_ns_ = tracer().now_ns();
-    }
-  }
+  explicit Span(const char* name) : Span(name, nullptr) {}
+  Span(const char* name, TimerStat& stat) : Span(name, &stat) {}
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
   ~Span() { end(); }
 
+  // True while the span will push a trace event.
   bool active() const { return buffer_ != nullptr; }
 
   Span& arg(const char* key, double value);
   Span& arg(const char* key, const std::string& value);
   Span& arg(const char* key, const char* value);
 
-  // Early end (idempotent).
-  void end();
+  // Early end (idempotent).  Returns the elapsed seconds, 0 when neither
+  // switch was on at construction.
+  double end();
 
  private:
+  Span(const char* name, TimerStat* stat)
+      : stat_(stat != nullptr && enabled() ? stat : nullptr),
+        buffer_(tracer().enabled() ? tracer().thread_buffer() : nullptr) {
+    if (stat_ != nullptr || buffer_ != nullptr) {
+      name_ = name;
+      start_ns_ = tracer().now_ns();
+    }
+  }
+
+  TimerStat* stat_;
   TraceBuffer* buffer_;
   const char* name_ = "";
   std::uint64_t start_ns_ = 0;

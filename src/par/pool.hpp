@@ -13,7 +13,7 @@
 //    throw (the loop helpers in parallel.hpp catch and forward exceptions
 //    before they reach the pool);
 //  * pool threads are plain std::threads sharing the process-wide obs
-//    registry/journal, which are concurrency-safe (see obs/metrics.hpp).
+//    registry/tracer, which are concurrency-safe (see obs/metrics.hpp).
 //
 // Thread-count resolution (`default_threads()`), strongest first: an
 // explicit `set_default_threads()` override (bench `--threads` flag), the

@@ -4,7 +4,6 @@
 
 #include "esim/batch.hpp"
 #include "esim/engine.hpp"
-#include "obs/expose.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/timer.hpp"
@@ -201,9 +200,7 @@ std::vector<McSample> run_vmin_montecarlo(const cell::Technology& tech,
   const obs::Stopwatch wall;
   static obs::TimerStat& mc_timer =
       obs::registry().timer("scheme.vmin_montecarlo");
-  obs::ScopedTimer timer(mc_timer);
-  obs::Span mc_span("scheme.run_vmin_montecarlo");
-  obs::ScopedRunPhase phase(obs::RunPhase::kCampaign);
+  obs::Span mc_span("scheme.run_vmin_montecarlo", mc_timer);
   mc_span.arg("samples", static_cast<double>(options.samples));
 
   std::vector<SampleResult> results(options.samples);

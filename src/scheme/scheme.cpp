@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
+#include "obs/trace.hpp"
 
 namespace sks::scheme {
 
@@ -33,7 +33,8 @@ TestingScheme::TestingScheme(clocktree::ClockTree tree,
 
 CampaignResult TestingScheme::run(
     const std::vector<clocktree::TreeDefect>& defects, std::size_t cycles) {
-  obs::ScopedTimer timer("scheme.run");
+  static obs::TimerStat& run_timer = obs::registry().timer("scheme.run");
+  obs::Span span("scheme.run", run_timer);
   static obs::Counter& cycle_counter = obs::registry().counter("scheme.cycles");
   static obs::Counter& indication_counter =
       obs::registry().counter("scheme.indication_cycles");

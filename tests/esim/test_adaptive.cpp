@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cell/measure.hpp"
 #include "esim/engine.hpp"
 #include "esim/trace.hpp"
-#include "obs/journal.hpp"
+#include "obs/trace.hpp"
 
 namespace sks::esim {
 namespace {
@@ -99,8 +102,8 @@ TEST(AdaptiveTransient, NewtonFailureShrinksTheAdaptiveStep) {
   // An inverter slammed by a near-vertical input edge with a starved
   // Newton budget: the solve at the grown step fails and dt is halved.
   // The halving must feed back into the adaptive controller (dt_current)
-  // exactly like a dv_max rejection does — the journal pins it: the first
-  // full step after the last kDtHalved event must start from the halved
+  // exactly like a dv_max rejection does — the trace pins it: the first
+  // full step after the last dt_halved marker must start from the halved
   // size (regrowth is at most 1.5x per quiet step), not from the large
   // pre-failure step.
   Circuit c;
@@ -129,25 +132,36 @@ TEST(AdaptiveTransient, NewtonFailureShrinksTheAdaptiveStep) {
   options.newton.max_iterations = 3;
   options.newton.max_step = 0.25;
 
-  obs::journal().clear();
-  obs::journal().set_enabled(true);
+  obs::tracer().set_enabled(false);
+  obs::tracer().clear();
+  obs::tracer().set_enabled(true);
   const auto result = simulate(c, options);
-  obs::journal().set_enabled(false);
+  obs::tracer().set_enabled(false);
 
   ASSERT_GT(result.stats.dt_halvings, 0u) << "the edge must defeat 3-iter NR";
-  // The first failure burst: consecutive kDtHalved events at the same
+  // The dt_halved markers in recording order, as (t, value = halved dt).
+  std::vector<std::pair<double, double>> halvings;
+  for (const auto& buffer : obs::tracer().buffers()) {
+    for (std::size_t i = 0; i < buffer->size(); ++i) {
+      const obs::TraceEvent& e = buffer->event(i);
+      if (e.phase != 'i' || e.name != "dt_halved") continue;
+      ASSERT_GE(e.args.size(), 2u);
+      halvings.emplace_back(std::stod(e.args[0].json),
+                            std::stod(e.args[1].json));
+    }
+  }
+  obs::tracer().clear();
+  EXPECT_EQ(halvings.size(), result.stats.dt_halvings);
+  // The first failure burst: consecutive dt_halved markers at the same
   // interval start, while the controller was still proposing the large
   // pre-edge step.  `halved` is the size that finally converged.
-  const obs::Event* burst_last = nullptr;
-  double t0 = -1.0;
-  for (const auto& event : obs::journal().events()) {
-    if (event.type != obs::EventType::kDtHalved) continue;
-    if (t0 < 0.0) t0 = event.t;
-    if (event.t != t0) break;
-    burst_last = &event;
+  ASSERT_FALSE(halvings.empty());
+  const double t0 = halvings.front().first;
+  double halved = 0.0;
+  for (const auto& [t, dt] : halvings) {
+    if (t != t0) break;
+    halved = dt;
   }
-  ASSERT_NE(burst_last, nullptr);
-  const double halved = burst_last->value;
 
   // Locate the two recorded steps after the failure: the in-interval retry
   // and then the first step proposed from dt_current.

@@ -1,7 +1,8 @@
 // Concurrency stress for the obs layer — the TSan target exercising the
-// guarantees documented in obs/metrics.hpp: sharded counters, lock-free
-// timer stats, mutex-guarded registry/journal, all hammered from many
-// threads with exact totals checked after the writers quiesce.
+// guarantees documented in obs/metrics.hpp and obs/trace.hpp: sharded
+// counters, lock-free timer stats, the mutex-guarded registry, span timers
+// and the tracer's per-thread buffers, all hammered from many threads with
+// exact totals checked after the writers quiesce.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,10 +11,8 @@
 #include <thread>
 #include <vector>
 
-#include "obs/journal.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timer.hpp"
 #include "obs/trace.hpp"
 
 namespace sks::obs {
@@ -86,30 +85,10 @@ TEST(ObsConcurrency, ScopedTimersFromManyThreads) {
   set_enabled(true);
   TimerStat& stat = registry().timer("test.concurrency.scoped");
   stat.reset();
-  hammer(1000, [&](int) { ScopedTimer timer(stat); });
+  hammer(1000, [&](int) { Span span("test.concurrency.scoped", stat); });
   EXPECT_EQ(stat.count(), static_cast<std::uint64_t>(kThreads) * 1000);
   stat.reset();
   set_enabled(was_enabled);
-}
-
-TEST(ObsConcurrency, JournalRingStaysConsistentUnderContention) {
-  Journal j(256);
-  j.set_enabled(true);
-  hammer(5000, [&](int i) {
-    Event e;
-    e.type = (i % 2 == 0) ? EventType::kNewtonConverged
-                          : EventType::kDtHalved;
-    e.t = static_cast<double>(i);
-    j.record(e);
-    if (i % 1000 == 0) (void)j.tail(16);  // concurrent snapshots
-  });
-  EXPECT_EQ(j.size(), 256u);
-  EXPECT_EQ(j.total_recorded(), static_cast<std::size_t>(kThreads) * 5000);
-  EXPECT_EQ(j.count(EventType::kNewtonConverged) +
-                j.count(EventType::kDtHalved),
-            j.size());
-  const auto tail = j.tail(16);
-  EXPECT_EQ(tail.size(), 16u);
 }
 
 TEST(ObsConcurrency, TracerSpansFromManyThreadsAllPublished) {
@@ -175,7 +154,7 @@ TEST(ObsConcurrency, EnabledFlagToggledWhileTimersRun) {
     for (int i = 0; i < 2000; ++i) set_enabled(i % 2 == 0);
     stop.store(true);
   });
-  hammer(500, [&](int) { ScopedTimer timer(stat); });
+  hammer(500, [&](int) { Span span("test.concurrency.toggle", stat); });
   toggler.join();
   set_enabled(false);
   // No exact count here (gating raced by design) — the assertion is that

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/timer.hpp"
+#include "obs/trace.hpp"
 
 namespace sks::obs {
 namespace {
@@ -115,41 +115,58 @@ TEST(RegistryTest, HistogramRangeMismatchIsCountedNotSilent) {
   EXPECT_EQ(mismatches->value(), 3u);
 }
 
-TEST(ScopedTimerTest, DisabledRecordsNothing) {
-  ObsFlagGuard guard;
+// Span as the scope timer: the obs switch gates the TimerStat, the tracer
+// switch gates the trace event.  The guard restores both so no test leaks
+// a mode into other suites.
+struct SpanSwitchGuard {
+  bool obs_saved = enabled();
+  bool trace_saved = tracer().enabled();
+  SpanSwitchGuard() {
+    tracer().set_enabled(false);
+    tracer().clear();
+  }
+  ~SpanSwitchGuard() {
+    set_enabled(obs_saved);
+    tracer().set_enabled(trace_saved);
+    tracer().clear();
+  }
+};
+
+TEST(SpanTimer, DisabledRecordsNothing) {
+  SpanSwitchGuard guard;
   set_enabled(false);
   Registry reg;
   TimerStat& stat = reg.timer("region");
   {
-    ScopedTimer t(stat);
-    EXPECT_DOUBLE_EQ(t.stop(), 0.0);
+    Span span("region", stat);
+    EXPECT_DOUBLE_EQ(span.end(), 0.0);
   }
   EXPECT_EQ(stat.count(), 0u);
 }
 
-TEST(ScopedTimerTest, EnabledRecordsAndStopIsIdempotent) {
-  ObsFlagGuard guard;
+TEST(SpanTimer, EnabledRecordsAndEndIsIdempotent) {
+  SpanSwitchGuard guard;
   set_enabled(true);
   Registry reg;
   TimerStat& stat = reg.timer("region");
   {
-    ScopedTimer t(stat);
-    t.stop();
-    t.stop();  // second stop (and the destructor) must not double-count
-  }
+    Span span("region", stat);
+    span.end();
+    EXPECT_DOUBLE_EQ(span.end(), 0.0);  // second end records nothing
+  }  // ... and neither does the destructor
   EXPECT_EQ(stat.count(), 1u);
 }
 
-TEST(ScopedTimerTest, NestedScopesAccumulateInnerWithinOuter) {
-  ObsFlagGuard guard;
+TEST(SpanTimer, NestedScopesAccumulateInnerWithinOuter) {
+  SpanSwitchGuard guard;
   set_enabled(true);
   Registry reg;
   TimerStat& outer = reg.timer("outer");
   TimerStat& inner = reg.timer("inner");
   {
-    ScopedTimer to(outer);
+    Span to("outer", outer);
     for (int i = 0; i < 3; ++i) {
-      ScopedTimer ti(inner);
+      Span ti("inner", inner);
       volatile double sink = 0.0;
       for (int k = 0; k < 1000; ++k) sink = sink + static_cast<double>(k);
     }
@@ -160,17 +177,64 @@ TEST(ScopedTimerTest, NestedScopesAccumulateInnerWithinOuter) {
   EXPECT_LE(inner.total_ns(), outer.total_ns());
 }
 
-TEST(ScopedTimerTest, NamedTimerSkipsLookupWhenDisabled) {
-  ObsFlagGuard guard;
-  set_enabled(false);
-  // With profiling off the named constructor must not create the entry.
-  { ScopedTimer t("obs_test.never_created"); }
-  EXPECT_EQ(registry().find_timer("obs_test.never_created"), nullptr);
+TEST(SpanTimer, SpanWithoutStatTimesNothingWhenTracingIsOff) {
+  SpanSwitchGuard guard;
   set_enabled(true);
-  { ScopedTimer t("obs_test.created"); }
-  const TimerStat* stat = registry().find_timer("obs_test.created");
-  ASSERT_NE(stat, nullptr);
-  EXPECT_EQ(stat->count(), 1u);
+  // A stat-less span is a pure trace span: with tracing off it reads no
+  // clock, and it never creates a registry entry under its name.
+  {
+    Span span("obs_test.span_only");
+    EXPECT_FALSE(span.active());
+    EXPECT_DOUBLE_EQ(span.end(), 0.0);
+  }
+  EXPECT_EQ(registry().find_timer("obs_test.span_only"), nullptr);
+  EXPECT_EQ(tracer().event_count(), 0u);
+}
+
+TEST(SpanTimer, ObsAndTraceSwitchesAreIndependent) {
+  SpanSwitchGuard guard;
+  Registry reg;
+  TimerStat& stat = reg.timer("region");
+
+  // obs on, tracing off: the stat records, no trace event.
+  set_enabled(true);
+  { Span span("region", stat); }
+  EXPECT_EQ(stat.count(), 1u);
+  EXPECT_EQ(tracer().event_count(), 0u);
+
+  // obs off, tracing on: a trace event, the stat stays put.
+  set_enabled(false);
+  tracer().set_enabled(true);
+  { Span span("region", stat); }
+  EXPECT_EQ(stat.count(), 1u);
+  ASSERT_EQ(tracer().event_count(), 1u);
+
+  // Both on: one clock read per end serves both, so the stat's increment
+  // is exactly the event's duration.
+  set_enabled(true);
+  const std::uint64_t before_ns = stat.total_ns();
+  {
+    Span span("region", stat);
+    volatile double sink = 0.0;
+    for (int k = 0; k < 1000; ++k) sink = sink + static_cast<double>(k);
+  }
+  EXPECT_EQ(stat.count(), 2u);
+  const auto buffers = tracer().buffers();
+  ASSERT_EQ(buffers.size(), 1u);
+  ASSERT_EQ(buffers[0]->size(), 2u);
+  const TraceEvent& e = buffers[0]->event(1);
+  EXPECT_EQ(e.name, "region");
+  EXPECT_EQ(stat.total_ns() - before_ns, e.dur_ns);
+
+  // Both off: nothing at all.
+  set_enabled(false);
+  tracer().set_enabled(false);
+  {
+    Span span("region", stat);
+    EXPECT_DOUBLE_EQ(span.end(), 0.0);
+  }
+  EXPECT_EQ(stat.count(), 2u);
+  EXPECT_EQ(tracer().event_count(), 2u);
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ std::vector<double> noise_series(std::size_t n, double mean, double sigma,
   return out;
 }
 
-TEST(ObsExposeSentinel, ShortSeriesStaysQuiet) {
+TEST(ObsSentinel, ShortSeriesStaysQuiet) {
   SentinelOptions opt;
   opt.warmup = 5;
   // A history no longer than the warm-up window has no baseline to chart
@@ -42,7 +42,7 @@ TEST(ObsExposeSentinel, ShortSeriesStaysQuiet) {
   }
 }
 
-TEST(ObsExposeSentinel, StationaryFalseAlarmRateIsLow) {
+TEST(ObsSentinel, StationaryFalseAlarmRateIsLow) {
   SentinelOptions opt;
   // A 3-sigma chart has a finite in-control alarm rate (ARL0 ~ hundreds
   // of points), and the 5-run warm-up sigma estimate is itself noisy —
@@ -58,7 +58,7 @@ TEST(ObsExposeSentinel, StationaryFalseAlarmRateIsLow) {
                        << "/20 series — the chart is far too jumpy";
 }
 
-TEST(ObsExposeSentinel, DeterministicConstantSeriesStaysQuiet) {
+TEST(ObsSentinel, DeterministicConstantSeriesStaysQuiet) {
   // Bit-identical counters repeat exactly; the sigma floor keeps the band
   // nonzero so this must not flag (and must not divide by zero).
   const std::vector<double> series(12, 1310.0);
@@ -67,7 +67,7 @@ TEST(ObsExposeSentinel, DeterministicConstantSeriesStaysQuiet) {
   EXPECT_GT(f.baseline_sigma, 0.0);
 }
 
-TEST(ObsExposeSentinel, FlagsStepChange) {
+TEST(ObsSentinel, FlagsStepChange) {
   // Stable at 100, then one run jumps 3.5 sigma-floors up: inside a loose
   // hard-gate window, but a step the chart must catch immediately.
   std::vector<double> series = noise_series(10, 100.0, 1.0, 7);
@@ -77,7 +77,7 @@ TEST(ObsExposeSentinel, FlagsStepChange) {
   EXPECT_EQ(f.runs, series.size());
 }
 
-TEST(ObsExposeSentinel, FlagsSlowDriftInsideShewhartBand) {
+TEST(ObsSentinel, FlagsSlowDriftInsideShewhartBand) {
   // +0.4 sigma per run: every single observation stays inside the 3-sigma
   // Shewhart band for a long while, but the EWMA leaves its (much
   // tighter) control band — the case the hard gate cannot see.
@@ -98,7 +98,7 @@ TEST(ObsExposeSentinel, FlagsSlowDriftInsideShewhartBand) {
   EXPECT_GT(f.ewma, f.band_hi);
 }
 
-TEST(ObsExposeSentinel, WarmupWindowSetsTheBaseline) {
+TEST(ObsSentinel, WarmupWindowSetsTheBaseline) {
   // First 5 runs at 10, the rest at 14: with warmup=5 the baseline is 10
   // and the chart flags; with warmup=10 the shifted runs pollute the
   // baseline and the (by then stationary) series is quiet.
@@ -115,7 +115,7 @@ TEST(ObsExposeSentinel, WarmupWindowSetsTheBaseline) {
             SentinelVerdict::kOk);
 }
 
-TEST(ObsExposeSentinel, BandScalesWithKAndLambda) {
+TEST(ObsSentinel, BandScalesWithKAndLambda) {
   std::vector<double> series = noise_series(10, 50.0, 1.0, 3);
   for (int i = 0; i < 6; ++i) series.push_back(52.5);  // ~2.5 sigma level
   SentinelOptions strict;

@@ -122,7 +122,6 @@ TEST(MetricsTimeline, EightThreadHammerSnapshotsStayConsistent) {
     prev_value = value;
     // Structural invariants of every snapshot.
     EXPECT_TRUE(snap.has("wall_s"));
-    EXPECT_TRUE(snap.has("journal"));
     EXPECT_TRUE(snap.has("trace"));
   }
   // After the join the final snapshot must carry the exact total.

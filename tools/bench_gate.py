@@ -64,10 +64,6 @@ TIMING_BASELINE = "gbench_perf_micro.json"
 # disabled (obs/metrics.hpp documents the guarantee).
 REQUIRED_ZERO = ("obs.stream_updates", "obs.timeline_snapshots",
                  "obs.profile_builds", "obs.mem_gauge_updates",
-                 # Live exposition guard: gate runs never pass --expose, so
-                 # the /metrics scrape counter must stay exactly zero — the
-                 # listener (obs/expose.hpp) costs nothing unless asked for.
-                 "obs.expose_scrapes",
                  # Hierarchical Schur path steady-state guard: doubling the
                  # simulated time on the same companion configs must add
                  # exactly zero linear-block factorizations (they are paid

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Continuous-integration driver: warnings-as-errors build, full test suite,
 # a telemetry smoke check that the bench --profile reports are valid JSON,
-# a live /metrics scrape of a running campaign, the EWMA regression
-# sentinel, and the bench regression gate (tools/bench_gate.py).  Run from
-# the repository root:
+# the metrics timeline (the live view), the EWMA regression sentinel, and
+# the bench regression gate (tools/bench_gate.py).  Run from the
+# repository root:
 #
 #   tools/ci.sh                    # build + ctest + bench smoke + bench gate
 #   tools/ci.sh --asan             # additionally build and test under ASan+UBSan
@@ -86,6 +86,25 @@ grep -q '$enddefinitions' "$SMOKE_DIR/fig2.vcd" \
   || { echo "invalid CSV: $SMOKE_DIR/fig2_traces.csv" >&2; exit 1; }
 echo "ok: $SMOKE_DIR/fig2.vcd, $SMOKE_DIR/fig2_traces.csv"
 
+echo "=== fallback marker smoke check ==="
+# The Sec. 3 campaign takes the solver off its fast path (DC continuation
+# ladders, unsimulated or escaping faults): a traced run must write at
+# least one newton_fallback or fault_verdict instant, and its report's
+# trace section must count the instants the trace file holds.
+(cd "$SMOKE_DIR" && ../bench/sec3_testability --profile \
+    --trace-out sec3_trace.json > sec3.log)
+python3 - "$SMOKE_DIR/sec3_trace.json" \
+    "$SMOKE_DIR/BENCH_sec3_testability.json" <<'EOF'
+import collections, json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+instants = collections.Counter(e["name"] for e in events if e["ph"] == "i")
+assert instants["newton_fallback"] + instants["fault_verdict"] >= 1, instants
+trace = json.load(open(sys.argv[2]))["trace"]
+assert trace["dropped"] == 0, trace
+assert trace["instants"] == dict(instants), (trace["instants"], instants)
+print("ok: sec3 trace instants", dict(instants))
+EOF
+
 echo "=== sks-report CLI smoke check ==="
 SKS_REPORT=build-ci/tools/sks-report
 "$SKS_REPORT" print "$SMOKE_DIR/BENCH_fig2_waveforms.json" > /dev/null
@@ -96,11 +115,7 @@ SKS_REPORT=build-ci/tools/sks-report
     "$SMOKE_DIR/BENCH_perf_micro.json"
 python3 -m json.tool "$SMOKE_DIR/merged.json" > /dev/null \
   || { echo "invalid JSON: $SMOKE_DIR/merged.json" >&2; exit 1; }
-"$SKS_REPORT" trace "$SMOKE_DIR/journal_trace.json" \
-    "$SMOKE_DIR/BENCH_fig2_waveforms.json"
-python3 -m json.tool "$SMOKE_DIR/journal_trace.json" > /dev/null \
-  || { echo "invalid JSON: $SMOKE_DIR/journal_trace.json" >&2; exit 1; }
-echo "ok: sks-report print/diff/merge/trace"
+echo "ok: sks-report print/diff/merge"
 
 echo "=== performance attribution smoke check ==="
 # The traced fig2 run must embed a call-tree profile in its report and
@@ -226,7 +241,7 @@ with_progress = [s for s in snaps if "progress" in s]
 assert with_progress, "no item-cadence progress snapshots"
 assert with_progress[-1]["progress"]["done"] == with_progress[-1]["progress"]["total"]
 # Drop counters are surfaced in every snapshot.
-assert all("journal" in s and "trace" in s for s in snaps)
+assert all("trace" in s for s in snaps)
 print(f"ok: {len(snaps)} monotone snapshots; final matches BENCH report")
 EOF
 "$SKS_REPORT" timeline "$TL_DIR/fig5_timeline.jsonl" > "$TL_DIR/timeline.log" \
@@ -239,99 +254,6 @@ grep -q "monotone" "$TL_DIR/timeline.log" \
 "$SKS_REPORT" tail "$TL_DIR/fig5_timeline.jsonl" | grep -q "final" \
   || { echo "sks-report tail did not render the final snapshot" >&2; exit 1; }
 echo "ok: timeline JSONL + sks-report timeline/tail"
-
-echo "=== live metrics exposition smoke check ==="
-# A fig5 campaign run with the exposer enabled must be scrapeable while it
-# executes: /metrics parses as Prometheus text format 0.0.4, /healthz
-# answers 200 — and after the run report lands, one final scrape's counter
-# values must exactly equal the BENCH_*.json counters (excluding the
-# scrape counter itself, which keeps counting the scrapes that happen
-# after the report was captured).  SKS_EXPOSE=0 asks for an ephemeral
-# port; the bench prints (and flushes) the bound port, and
-# SKS_EXPOSE_LINGER_S holds the listener open after the report until the
-# final scrape lands.
-EXPO_DIR=build-ci/expose
-rm -rf "$EXPO_DIR"
-mkdir -p "$EXPO_DIR"
-(cd "$EXPO_DIR" && SKS_BENCH_SCALE=0.1 SKS_EXPOSE=0 SKS_EXPOSE_LINGER_S=60 \
-    ../bench/fig5_montecarlo --profile > fig5_expose.log 2>&1) &
-EXPO_PID=$!
-EXPO_PORT=""
-for _ in $(seq 1 100); do
-  EXPO_PORT=$(sed -n 's/.*serving .* on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-      "$EXPO_DIR/fig5_expose.log" 2>/dev/null | head -1)
-  [ -n "$EXPO_PORT" ] && break
-  sleep 0.2
-done
-[ -n "$EXPO_PORT" ] || { echo "exposer never printed its port" >&2; \
-                         kill "$EXPO_PID" 2>/dev/null; exit 1; }
-echo "exposer up on port $EXPO_PORT"
-# Mid-run scrape: full exposition syntax check + liveness probe.
-python3 - "$EXPO_PORT" <<'EOF'
-import re, sys, urllib.request, urllib.error
-port = sys.argv[1]
-body = urllib.request.urlopen(
-    f"http://127.0.0.1:{port}/metrics", timeout=10).read().decode()
-sample = re.compile(
-    r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{quantile="0\.\d+"\})? \S+$')
-names = set()
-for line in body.splitlines():
-    assert line, "blank line in exposition"
-    if line.startswith("#"):
-        continue
-    assert sample.match(line), f"bad exposition line: {line!r}"
-    name, value = line.rsplit(" ", 1)
-    float(value)  # must parse as a number
-    names.add(name.split("{")[0])
-assert "obs_run_phase" in names and "obs_expose_scrapes" in names, names
-health = urllib.request.urlopen(
-    f"http://127.0.0.1:{port}/healthz", timeout=10)
-assert health.status == 200 and health.read() == b"ok\n"
-try:
-    ready = urllib.request.urlopen(
-        f"http://127.0.0.1:{port}/readyz", timeout=10)
-    phase = ready.read().decode()
-except urllib.error.HTTPError as e:  # 503 while a phase is active
-    phase = e.read().decode()
-assert phase.startswith("phase="), phase
-print(f"ok: mid-run /metrics ({len(names)} series), /healthz 200, "
-      f"/readyz {phase.strip()}")
-EOF
-# Wait for the run report, then take the post-run scrape.
-for _ in $(seq 1 600); do
-  grep -q "run report written" "$EXPO_DIR/fig5_expose.log" && break
-  sleep 0.5
-done
-grep -q "run report written" "$EXPO_DIR/fig5_expose.log" \
-  || { echo "fig5 run never wrote its report" >&2; \
-       kill "$EXPO_PID" 2>/dev/null; exit 1; }
-python3 - "$EXPO_PORT" "$EXPO_DIR/BENCH_fig5_montecarlo.json" <<'EOF'
-import json, re, sys, urllib.request
-port, report_path = sys.argv[1], sys.argv[2]
-body = urllib.request.urlopen(
-    f"http://127.0.0.1:{port}/metrics", timeout=10).read().decode()
-scraped = {}
-for line in body.splitlines():
-    if line.startswith("#") or "{" in line:
-        continue
-    name, value = line.rsplit(" ", 1)
-    scraped[name] = value
-report = json.load(open(report_path))
-sanitize = lambda k: re.sub(r"[^a-zA-Z0-9_:]", "_", k)
-mismatches = []
-for key, value in report["counters"].items():
-    if key == "obs.expose_scrapes":
-        continue  # keeps counting post-report scrapes by design
-    got = scraped.get(sanitize(key))
-    if got is None or int(got) != int(value):
-        mismatches.append(f"{key}: report={int(value)} scrape={got}")
-assert not mismatches, "post-run scrape != report: " + "; ".join(mismatches)
-print(f"ok: post-run scrape matches all "
-      f"{len(report['counters']) - 1} report counters exactly")
-EOF
-wait "$EXPO_PID" \
-  || { echo "fig5 exposition run failed" >&2; exit 1; }
-echo "ok: live exposition scraped mid-run and post-run on port $EXPO_PORT"
 
 echo "=== regression sentinel fixture check ==="
 # The EWMA sentinel must flag a synthetic slow drift that stays inside the

@@ -4,7 +4,6 @@
 //   sks-report print   REPORT... [--top N]  pretty-print reports
 //   sks-report diff    A B              values/counters/timers deltas
 //   sks-report merge   OUT A B...       sum shards into one schema-1 report
-//   sks-report trace   OUT REPORT...    journal events -> Chrome trace JSON
 //   sks-report flame   INPUT [flags]    top self-time spans + collapsed stacks
 //   sks-report attribute BASE CURRENT   rank span-tree wall-time deltas
 //   sks-report explain BUNDLE           diagnose a postmortem bundle
@@ -22,9 +21,8 @@
 // and with `--follow` keeps polling until the run writes its "final"
 // snapshot (schema in obs/timeline.hpp).
 //
-// `trace` renders each report's journal section as instant events on its
-// own track, with simulation time mapped 1 ns -> 1 us so ns-scale
-// transients are visible at Perfetto's microsecond zoom levels.
+// Reports written before the trace section's instant counts replaced the
+// event journal may carry a "journal" section; every verb ignores it.
 //
 // `flame` and `attribute` consume the call-tree `profile` section a traced
 // run embeds in its report (obs/profile.hpp) — or, for `flame`, a raw
@@ -180,33 +178,19 @@ void print_report(const std::string& path, std::size_t top = 0) {
                   fmt(field("p99")).c_str());
     }
   }
-  if (const Json* journal = doc.find("journal"); journal != nullptr) {
-    std::cout << "  journal: recorded="
-              << fmt(journal->at("recorded").number())
-              << " dropped=" << fmt(journal->at("dropped").number()) << "\n";
-    if (const Json* counts = journal->find("counts")) {
-      for (const auto& [key, value] : counts->object()) {
-        std::cout << "    " << key << " = " << fmt(value.number()) << "\n";
-      }
-    }
-  }
   if (const Json* trace = doc.find("trace"); trace != nullptr) {
+    const double dropped = trace->at("dropped").number();
     std::cout << "  trace: events=" << fmt(trace->at("events").number())
-              << " dropped=" << fmt(trace->at("dropped").number()) << "\n";
-  }
-  // Saturation at a glance: any nonzero drop means a bounded buffer lost
-  // data and the sections above undercount.
-  double journal_drops = 0.0, trace_drops = 0.0;
-  if (const Json* journal = doc.find("journal")) {
-    journal_drops = journal->at("dropped").number();
-  }
-  if (const Json* trace = doc.find("trace")) {
-    trace_drops = trace->at("dropped").number();
-  }
-  if (journal_drops > 0.0 || trace_drops > 0.0) {
-    std::cout << "  DROPS: journal=" << fmt(journal_drops)
-              << " trace=" << fmt(trace_drops)
-              << " (bounded buffers saturated; raise their capacity)\n";
+              << " dropped=" << fmt(dropped) << "\n";
+    for (const auto& [key, value] : number_section(*trace, "instants")) {
+      std::cout << "    " << key << " = " << fmt(value) << "\n";
+    }
+    // Saturation at a glance: a nonzero drop means the bounded trace
+    // buffers lost events and the counts above undercount.
+    if (dropped > 0.0) {
+      std::cout << "  DROPS: trace=" << fmt(dropped)
+                << " (bounded buffers saturated; raise their capacity)\n";
+    }
   }
 }
 
@@ -264,14 +248,16 @@ void write_file(const std::string& path, const std::string& content) {
 }
 
 // Merge semantics for sharded runs of the same workload: values, counters
-// and journal tallies are summed; timers sum count/total (min/mean/max are
-// recomputed or dropped — total is what sharded profiling compares).
+// and the trace section's event/drop/instant tallies are summed; timers sum
+// count/total (min/mean/max are recomputed or dropped — total is what
+// sharded profiling compares).
 int merge_reports(const std::string& out_path,
                   const std::vector<std::string>& inputs) {
   std::map<std::string, double> values, counters;
   std::map<std::string, std::pair<double, double>> timers;
-  double recorded = 0.0, dropped = 0.0;
-  std::map<std::string, double> journal_counts;
+  bool have_trace = false;
+  double trace_events = 0.0, trace_dropped = 0.0;
+  std::map<std::string, double> instants;
   std::string name;
   for (const std::string& path : inputs) {
     const Json doc = load_report(path);
@@ -284,13 +270,12 @@ int merge_reports(const std::string& out_path,
       timers[key].first += ct.first;
       timers[key].second += ct.second;
     }
-    if (const Json* journal = doc.find("journal")) {
-      recorded += journal->at("recorded").number();
-      dropped += journal->at("dropped").number();
-      if (const Json* counts = journal->find("counts")) {
-        for (const auto& [key, v] : counts->object()) {
-          journal_counts[key] += v.number();
-        }
+    if (const Json* trace = doc.find("trace")) {
+      have_trace = true;
+      trace_events += trace->at("events").number();
+      trace_dropped += trace->at("dropped").number();
+      for (const auto& [key, v] : number_section(*trace, "instants")) {
+        instants[key] += v;
       }
     }
   }
@@ -299,16 +284,19 @@ int merge_reports(const std::string& out_path,
   out << "{\n  \"report\": \"" << sks::obs::json_escape(name)
       << "\",\n  \"schema_version\": 1,\n  \"meta\": {\"merged_from\": \""
       << inputs.size() << " reports\"}";
-  auto emit_map = [&out](const char* section,
-                         const std::map<std::string, double>& rows) {
-    if (rows.empty()) return;
-    out << ",\n  \"" << section << "\": {";
+  auto emit_rows = [&out](const std::map<std::string, double>& rows) {
     bool first = true;
     for (const auto& [key, v] : rows) {
       out << (first ? "" : ", ") << '"' << sks::obs::json_escape(key)
           << "\": " << fmt(v);
       first = false;
     }
+  };
+  auto emit_map = [&](const char* section,
+                      const std::map<std::string, double>& rows) {
+    if (rows.empty()) return;
+    out << ",\n  \"" << section << "\": {";
+    emit_rows(rows);
     out << "}";
   };
   emit_map("values", values);
@@ -327,60 +315,16 @@ int merge_reports(const std::string& out_path,
     }
     out << "}";
   }
-  if (recorded > 0.0 || !journal_counts.empty()) {
-    out << ",\n  \"journal\": {\"recorded\": " << fmt(recorded)
-        << ", \"dropped\": " << fmt(dropped) << ", \"counts\": {";
-    bool first = true;
-    for (const auto& [key, v] : journal_counts) {
-      out << (first ? "" : ", ") << '"' << sks::obs::json_escape(key)
-          << "\": " << fmt(v);
-      first = false;
-    }
-    out << "}, \"events\": []}";
+  if (have_trace) {
+    out << ",\n  \"trace\": {\"events\": " << fmt(trace_events)
+        << ", \"dropped\": " << fmt(trace_dropped) << ", \"instants\": {";
+    emit_rows(instants);
+    out << "}}";
   }
   out << "\n}\n";
   write_file(out_path, out.str());
   std::cout << "merged " << inputs.size() << " reports into " << out_path
             << "\n";
-  return 0;
-}
-
-// Journal section -> Chrome trace instant events, one track per report.
-int journal_to_trace(const std::string& out_path,
-                     const std::vector<std::string>& inputs) {
-  std::ostringstream out;
-  out << "{\n\"displayTimeUnit\": \"ns\",\n\"traceEvents\": [\n";
-  out << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
-         "\"tid\": 0, \"args\": {\"name\": \"sks-report\"}}";
-  std::size_t emitted = 0;
-  for (std::size_t r = 0; r < inputs.size(); ++r) {
-    const Json doc = load_report(inputs[r]);
-    const int tid = static_cast<int>(r) + 1;
-    out << ",\n{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-        << "\"tid\": " << tid << ", \"args\": {\"name\": \""
-        << sks::obs::json_escape(doc.at("report").str()) << "\"}}";
-    const Json* journal = doc.find("journal");
-    if (journal == nullptr) continue;
-    const Json* events = journal->find("events");
-    if (events == nullptr || !events->is_array()) continue;
-    for (const Json& e : events->array()) {
-      // Simulation seconds -> trace microseconds at 1000x (1 sim ns shows
-      // as 1 us), so Perfetto's zoom range fits a transient.
-      const double ts_us = e.at("t").number() * 1e9;
-      out << ",\n{\"name\": \"" << sks::obs::json_escape(e.at("type").str())
-          << "\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": " << tid
-          << ", \"ts\": " << fmt(ts_us) << ", \"args\": {\"value\": "
-          << fmt(e.at("value").number())
-          << ", \"iterations\": " << fmt(e.at("iterations").number())
-          << ", \"detail\": \"" << sks::obs::json_escape(e.at("detail").str())
-          << "\"}}";
-      ++emitted;
-    }
-  }
-  out << "\n]\n}\n";
-  write_file(out_path, out.str());
-  std::cout << "wrote " << emitted << " journal instant events to " << out_path
-            << " (open in Perfetto or chrome://tracing)\n";
   return 0;
 }
 
@@ -626,8 +570,7 @@ void print_timeline_row(const Json& snap) {
     progress_text = text.str();
   }
   double drops = 0.0;
-  if (const Json* j = snap.find("journal")) drops += opt_number(*j, "dropped");
-  if (const Json* t = snap.find("trace")) drops += opt_number(*t, "dropped");
+  if (const Json* t = snap.find("trace")) drops = opt_number(*t, "dropped");
   const Json* label = snap.find("label");
   std::printf("  %6.0f %-18s %10ss %-28s %8.0f\n", opt_number(snap, "seq"),
               label != nullptr && label->is_string() ? label->str().c_str()
@@ -663,14 +606,9 @@ int summarize_timeline(const std::string& path) {
   }
   std::cout << "final snapshot streams:\n";
   print_stream_table(last, "  ");
-  double journal_drops = 0.0, trace_drops = 0.0;
-  if (const Json* j = last.find("journal")) {
-    journal_drops = opt_number(*j, "dropped");
-  }
-  if (const Json* t = last.find("trace")) trace_drops = opt_number(*t, "dropped");
-  if (journal_drops > 0.0 || trace_drops > 0.0) {
-    std::cout << "DROPS: journal=" << fmt(journal_drops)
-              << " trace=" << fmt(trace_drops) << "\n";
+  if (const Json* t = last.find("trace");
+      t != nullptr && opt_number(*t, "dropped") > 0.0) {
+    std::cout << "DROPS: trace=" << fmt(opt_number(*t, "dropped")) << "\n";
   }
   return 0;
 }
@@ -746,14 +684,9 @@ void render_tail_snapshot(const Json& snap, std::size_t total_snapshots) {
     }
   }
   print_stream_table(snap, "  ");
-  double journal_drops = 0.0, trace_drops = 0.0;
-  if (const Json* j = snap.find("journal")) {
-    journal_drops = opt_number(*j, "dropped");
-  }
-  if (const Json* t = snap.find("trace")) trace_drops = opt_number(*t, "dropped");
-  if (journal_drops > 0.0 || trace_drops > 0.0) {
-    std::cout << "  DROPS: journal=" << fmt(journal_drops)
-              << " trace=" << fmt(trace_drops) << "\n";
+  if (const Json* t = snap.find("trace");
+      t != nullptr && opt_number(*t, "dropped") > 0.0) {
+    std::cout << "  DROPS: trace=" << fmt(opt_number(*t, "dropped")) << "\n";
   }
 }
 
@@ -1308,7 +1241,6 @@ int usage() {
                "  sks-report print   REPORT.json... [--top N]\n"
                "  sks-report diff    A.json B.json\n"
                "  sks-report merge   OUT.json A.json B.json...\n"
-               "  sks-report trace   OUT.json REPORT.json...\n"
                "  sks-report flame   REPORT.json|TRACE.json [--top N] "
                "[--collapsed OUT.txt]\n"
                "  sks-report attribute BASE.json CURRENT.json [--top N]\n"
@@ -1356,9 +1288,6 @@ int main(int argc, char** argv) {
     }
     if (command == "merge" && paths.size() >= 2) {
       return merge_reports(paths[0], {paths.begin() + 1, paths.end()});
-    }
-    if (command == "trace" && paths.size() >= 2) {
-      return journal_to_trace(paths[0], {paths.begin() + 1, paths.end()});
     }
     if (command == "explain" && paths.size() == 1) {
       return explain_bundle(paths[0]);
