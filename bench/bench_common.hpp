@@ -132,8 +132,8 @@ inline void write_profile_report(const std::string& name) {
     report.set_meta("scale", std::to_string(scale()));
     // Provenance: commit/compiler/host identify WHERE the numbers came
     // from; threads and lane width identify the run shape — together they
-    // make a history.jsonl trend attributable (and let the sentinel's
-    // reader discount, say, a laptop run mixed into CI history).
+    // make a history.jsonl trend attributable (and let its reader
+    // discount, say, a laptop run mixed into CI history).
     report.capture_provenance();
     report.set_meta("threads", std::to_string(par::default_threads()));
     report.set_meta("lane_width",

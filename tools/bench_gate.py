@@ -33,13 +33,13 @@ Usage:
 Every failure is one grep-able "BENCH_GATE_FAIL kind=... key=..." line
 naming the offending key and both values.  Exit codes: 0 OK; 2 a gated
 key is missing from the report; 3 a value violated REQUIRED_ZERO or its
-window; 4 the EWMA trend sentinel flagged under --sentinel-strict; 1
-everything else (counter/time regressions, file problems).
+window; 1 everything else (counter/time regressions, file problems).
 
-* trend sentinel (--sentinel bench/history.jsonl): appends `sks-report
-  sentinel` EWMA drift/step verdicts after the hard-gate results — warn
-  only by default, exit 4 with --sentinel-strict on an otherwise-green
-  run (hard-gate failures always win).
+With --attribute-with, an out-of-window or regression failure is followed
+by `sks-report diff BASELINE CURRENT`: the section deltas and, when both
+reports embed a span-tree profile, the profile nodes ranked by wall-time
+delta.  The gate keeps no trend state; bench/history.jsonl is a record
+for `sks-report history`, not an input here.
 
 Re-baselining (after an intentional perf-relevant change): run the check,
 review the printed deltas, then re-run with `rebaseline` and commit the
@@ -98,7 +98,6 @@ WINDOWS = {
 EXIT_FAIL = 1            # counter/time regression, file problems
 EXIT_MISSING_KEY = 2     # a gated key is absent from the report
 EXIT_OUT_OF_WINDOW = 3   # REQUIRED_ZERO violated or WINDOWS value outside
-EXIT_SENTINEL = 4        # --sentinel-strict and the EWMA sentinel flagged
 
 REBASELINE_HINT = ("re-create it with `tools/bench_gate.py rebaseline "
                    "--report BENCH_perf_micro.json "
@@ -107,55 +106,29 @@ REBASELINE_HINT = ("re-create it with `tools/bench_gate.py rebaseline "
 
 
 def run_attribution(sks_report, baseline_path, report_path):
-    """Best-effort `sks-report attribute BASELINE CURRENT` on a gate trip.
+    """Best-effort `sks-report diff BASELINE CURRENT` on a gate trip.
 
-    Ranks the span-tree paths whose wall time moved the most between the
-    baseline and the failing run, so an out-of-window failure arrives with
-    its likely cause attached.  Printed AFTER the one-line grep-able
-    failures so those stay machine-parseable; any problem (missing binary,
-    reports without profile sections) degrades to a one-line note, never a
-    second failure.
+    The diff ranks the span-tree paths whose wall time moved the most
+    between the baseline and the failing run, so an out-of-window failure
+    arrives with its likely cause attached.  Printed AFTER the one-line
+    grep-able failures so those stay machine-parseable; any problem
+    (missing binary, reports without profile sections) degrades to a
+    one-line note, never a second failure.
     """
     print("\nattribution (baseline -> this run):", file=sys.stderr)
     try:
         proc = subprocess.run(
-            [sks_report, "attribute", baseline_path, report_path],
+            [sks_report, "diff", baseline_path, report_path],
             capture_output=True, text=True, timeout=60)
     except (OSError, subprocess.TimeoutExpired) as e:
         print(f"  attribution unavailable: {e}", file=sys.stderr)
         return
     out = (proc.stdout + proc.stderr).strip()
-    if proc.returncode != 0:
-        print("  attribution unavailable (no profile sections? run "
-              "perf_micro with SKS_TRACE=1 and rebaseline)", file=sys.stderr)
     for line in out.splitlines():
         print(f"  {line}", file=sys.stderr)
-
-
-def run_sentinel(sks_report, history_path):
-    """`sks-report sentinel HISTORY.jsonl`: EWMA drift/step verdicts.
-
-    Returns True when the sentinel flagged at least one metric.  The
-    verdict table prints after the hard-gate results either way (a trend
-    warning is useful context even on a green run); any problem running
-    the binary degrades to a one-line note — the sentinel layer must
-    never turn a healthy gate run red on its own.
-    """
-    print("\nsentinel (EWMA trend over bench history):")
-    try:
-        proc = subprocess.run(
-            [sks_report, "sentinel", history_path],
-            capture_output=True, text=True, timeout=60)
-    except (OSError, subprocess.TimeoutExpired) as e:
-        print(f"  sentinel unavailable: {e}")
-        return False
-    out = (proc.stdout + proc.stderr).strip()
-    for line in out.splitlines():
-        print(f"  {line}")
-    if proc.returncode not in (0, EXIT_SENTINEL):
-        print(f"  sentinel unavailable (exit {proc.returncode})")
-        return False
-    return "SENTINEL_FLAG" in out
+    if proc.returncode != 0 or "\nattribution" not in out:
+        print("  attribution unavailable (no profile sections? run "
+              "perf_micro with SKS_TRACE=1 and rebaseline)", file=sys.stderr)
 
 
 class GateError(Exception):
@@ -320,19 +293,6 @@ def cmd_check(args):
     else:
         print(f"wall-time gate skipped (no baseline at {timing_baseline})")
 
-    # Trend watchdog: the hard gates above catch window violations; the
-    # sentinel catches consistent in-window movement.  Warn-only unless
-    # --sentinel-strict, and only able to fail an otherwise-green run —
-    # hard-gate exit codes always win.
-    sentinel_flagged = False
-    if args.sentinel:
-        sentinel_bin = args.sentinel_with or args.attribute_with
-        if sentinel_bin:
-            sentinel_flagged = run_sentinel(sentinel_bin, args.sentinel)
-        else:
-            print("sentinel skipped (--sentinel needs --sentinel-with or "
-                  "--attribute-with to locate the sks-report binary)")
-
     if failures:
         print("\nBENCH GATE FAILED:", file=sys.stderr)
         for _, line in failures:
@@ -354,14 +314,7 @@ def cmd_check(args):
             if code in codes:
                 return code
         return EXIT_FAIL
-    if sentinel_flagged and args.sentinel_strict:
-        print("\nBENCH GATE FAILED: sentinel flagged a trend "
-              "(--sentinel-strict)", file=sys.stderr)
-        return EXIT_SENTINEL
-    if sentinel_flagged:
-        print("bench gate OK (sentinel warnings above are advisory)")
-    else:
-        print("bench gate OK")
+    print("bench gate OK")
     return 0
 
 
@@ -392,20 +345,9 @@ def main():
     parser.add_argument("--attribute-with", metavar="SKS_REPORT_BIN",
                         help="path to the sks-report binary; on an "
                              "out-of-window or time-regression failure the "
-                             "gate runs `sks-report attribute BASELINE "
-                             "CURRENT` and appends the ranked wall-time "
-                             "deltas below the failure lines")
-    parser.add_argument("--sentinel", metavar="HISTORY_JSONL",
-                        help="bench history file; appends `sks-report "
-                             "sentinel` EWMA drift/step verdicts after the "
-                             "gate results (warn-only by default)")
-    parser.add_argument("--sentinel-with", metavar="SKS_REPORT_BIN",
-                        help="sks-report binary for --sentinel (defaults "
-                             "to --attribute-with)")
-    parser.add_argument("--sentinel-strict", action="store_true",
-                        help=f"exit {EXIT_SENTINEL} when the sentinel flags "
-                             "a drift or step on an otherwise-green gate "
-                             "run")
+                             "gate runs `sks-report diff BASELINE CURRENT` "
+                             "and appends its section deltas and ranked "
+                             "wall-time deltas below the failure lines")
     args = parser.parse_args()
     try:
         if args.command == "check":

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Continuous-integration driver: warnings-as-errors build, full test suite,
 # a telemetry smoke check that the bench --profile reports are valid JSON,
-# the metrics timeline (the live view), the EWMA regression sentinel, and
-# the bench regression gate (tools/bench_gate.py).  Run from the
-# repository root:
+# the metrics timeline (the live view), and the bench regression gate
+# (tools/bench_gate.py).  Run from the repository root:
 #
 #   tools/ci.sh                    # build + ctest + bench smoke + bench gate
 #   tools/ci.sh --asan             # additionally build and test under ASan+UBSan
@@ -110,19 +109,14 @@ SKS_REPORT=build-ci/tools/sks-report
 "$SKS_REPORT" print "$SMOKE_DIR/BENCH_fig2_waveforms.json" > /dev/null
 "$SKS_REPORT" diff "$SMOKE_DIR/BENCH_fig2_waveforms.json" \
     "$SMOKE_DIR/BENCH_perf_micro.json" > /dev/null
-"$SKS_REPORT" merge "$SMOKE_DIR/merged.json" \
-    "$SMOKE_DIR/BENCH_fig2_waveforms.json" \
-    "$SMOKE_DIR/BENCH_perf_micro.json"
-python3 -m json.tool "$SMOKE_DIR/merged.json" > /dev/null \
-  || { echo "invalid JSON: $SMOKE_DIR/merged.json" >&2; exit 1; }
-echo "ok: sks-report print/diff/merge"
+echo "ok: sks-report print/diff"
 
 echo "=== performance attribution smoke check ==="
 # The traced fig2 run must embed a call-tree profile in its report and
 # drop the collapsed-stack flamegraph file next to it; `sks-report flame`
 # must rank it (from the report AND from the raw Chrome trace), and
-# `sks-report attribute` must diff two profile sources (report vs its own
-# trace: all deltas ~0, but the full parse/merge/rank path runs).
+# `sks-report diff` on two traced reports (fig2 and sec3) must rank their
+# profile nodes by wall-time delta.
 FLAME_FILE=$SMOKE_DIR/FLAME_fig2_waveforms.collapsed
 [ -s "$FLAME_FILE" ] \
   || { echo "missing collapsed stacks: $FLAME_FILE" >&2; exit 1; }
@@ -136,11 +130,11 @@ grep -q "esim.run_transient" "$SMOKE_DIR/flame_report.log" \
     --collapsed "$SMOKE_DIR/flame_from_trace.collapsed" > /dev/null
 [ -s "$SMOKE_DIR/flame_from_trace.collapsed" ] \
   || { echo "flame --collapsed wrote nothing" >&2; exit 1; }
-"$SKS_REPORT" attribute "$SMOKE_DIR/BENCH_fig2_waveforms.json" \
-    "$SMOKE_DIR/fig2_trace.json" > "$SMOKE_DIR/attribute.log"
-grep -q "esim" "$SMOKE_DIR/attribute.log" \
-  || { echo "attribution table lacks solver paths" >&2; exit 1; }
-echo "ok: sks-report flame/attribute + $FLAME_FILE"
+"$SKS_REPORT" diff "$SMOKE_DIR/BENCH_fig2_waveforms.json" \
+    "$SMOKE_DIR/BENCH_sec3_testability.json" > "$SMOKE_DIR/attribution.log"
+grep -q "^  #[0-9].*esim" "$SMOKE_DIR/attribution.log" \
+  || { echo "diff printed no attribution rows" >&2; exit 1; }
+echo "ok: sks-report flame/diff + $FLAME_FILE"
 
 echo "=== postmortem bundle smoke check ==="
 # A deliberately singular netlist (two ideal sources pinning one node to
@@ -203,7 +197,8 @@ echo "=== metrics timeline smoke check ==="
 # >= 10 JSONL snapshots with strictly monotone seq, and the final snapshot
 # must agree exactly with the end-of-run BENCH report's counters (the
 # equality contract documented in obs/timeline.hpp).  `sks-report
-# timeline`/`tail` must both render the file.
+# timeline`/`tail` must both render the file, and `sks-report diff` of the
+# timeline against the report must find no counter delta.
 TL_DIR=build-ci/timeline
 rm -rf "$TL_DIR"
 mkdir -p "$TL_DIR"
@@ -248,55 +243,15 @@ EOF
   || { echo "sks-report timeline failed" >&2; exit 1; }
 grep -q "monotone" "$TL_DIR/timeline.log" \
   || { echo "timeline summary missing" >&2; exit 1; }
-"$SKS_REPORT" timeline "$TL_DIR/fig5_timeline.jsonl" \
-    "$TL_DIR/fig5_timeline.jsonl" > /dev/null \
-  || { echo "sks-report timeline diff failed" >&2; exit 1; }
+"$SKS_REPORT" diff "$TL_DIR/fig5_timeline.jsonl" \
+    "$TL_DIR/BENCH_fig5_montecarlo.json" > "$TL_DIR/diff.log"
+if grep -q "^counters:" "$TL_DIR/diff.log"; then
+  echo "final timeline snapshot counters differ from the report:" >&2
+  cat "$TL_DIR/diff.log" >&2; exit 1
+fi
 "$SKS_REPORT" tail "$TL_DIR/fig5_timeline.jsonl" | grep -q "final" \
   || { echo "sks-report tail did not render the final snapshot" >&2; exit 1; }
-echo "ok: timeline JSONL + sks-report timeline/tail"
-
-echo "=== regression sentinel fixture check ==="
-# The EWMA sentinel must flag a synthetic slow drift that stays inside the
-# hard gate's Shewhart-style windows, must exit 4 under --strict on that
-# fixture, and must stay quiet on the real checked-in history.
-SENT_DIR=build-ci/sentinel
-rm -rf "$SENT_DIR"
-mkdir -p "$SENT_DIR"
-python3 - "$SENT_DIR/drift_history.jsonl" <<'EOF'
-import json, sys
-# 8 stable runs at 1.20 s, then +0.3 sigma (sigma=0.02) per run: each
-# increment is far below any per-run tolerance (the EWMA's steady-state
-# ramp lag, r*(1-lambda)/lambda = 0.024, stays under the 3*sigma step
-# threshold of 0.036), but the EWMA walks out of its control band.
-rows, level = [], 1.20
-for i in range(18):
-    if i >= 8:
-        level += 0.3 * 0.02
-    rows.append({"report": "perf_micro", "hash": f"{i:016x}",
-                 "values": {"leaky.wall_s": round(level, 6)}})
-with open(sys.argv[1], "w") as f:
-    for row in rows:
-        f.write(json.dumps(row) + "\n")
-print(f"wrote {len(rows)}-run drift fixture")
-EOF
-"$SKS_REPORT" sentinel "$SENT_DIR/drift_history.jsonl" \
-    > "$SENT_DIR/sentinel.log"
-grep -q "SENTINEL_FLAG" "$SENT_DIR/sentinel.log" \
-  || { echo "sentinel missed the synthetic drift" >&2;
-       cat "$SENT_DIR/sentinel.log" >&2; exit 1; }
-SENT_RC=0
-"$SKS_REPORT" sentinel "$SENT_DIR/drift_history.jsonl" --strict \
-    > /dev/null || SENT_RC=$?
-[ "$SENT_RC" = 4 ] \
-  || { echo "sentinel --strict exited $SENT_RC, expected 4" >&2; exit 1; }
-if [ -s bench/history.jsonl ]; then
-  "$SKS_REPORT" sentinel bench/history.jsonl > "$SENT_DIR/baseline.log"
-  if grep -q "SENTINEL_FLAG" "$SENT_DIR/baseline.log"; then
-    echo "warning: sentinel flags the checked-in history:" >&2
-    grep "SENTINEL_FLAG" "$SENT_DIR/baseline.log" >&2
-  fi
-fi
-echo "ok: sentinel flags the drift fixture (and --strict exits 4)"
+echo "ok: timeline JSONL + sks-report timeline/tail/diff"
 
 echo "=== bench regression gate ==="
 # perf_micro's deterministic fixed-workload pass yields exact solver work
@@ -306,7 +261,7 @@ echo "=== bench regression gate ==="
 BENCH_DIR=build-ci/bench-gate
 mkdir -p "$BENCH_DIR"
 # SKS_TRACE=1: the gate run records spans so its report embeds the span-tree
-# profile — that is what `sks-report attribute` diffs against the baseline
+# profile — that is what `sks-report diff` ranks against the baseline
 # when a value drifts out of its window.  Span recording is outside the
 # fixed counter windows, so the fixed.* counts (and the REQUIRED_ZERO
 # obs.* guards) are identical with tracing on or off.
@@ -314,8 +269,7 @@ mkdir -p "$BENCH_DIR"
     --benchmark_min_time=0.05 \
     --benchmark_out=gbench_perf_micro.json \
     --benchmark_out_format=json > bench.log)
-# Append this run to the history BEFORE gating so the sentinel's EWMA
-# window includes the fresh point (identical re-runs dedup by hash).  CI
+# Append this run to the history (identical re-runs dedup by hash).  CI
 # uploads bench/history.jsonl as an artifact and restores it across runs;
 # render the trend table with `sks-report history bench/history.jsonl`.
 "$SKS_REPORT" history bench/history.jsonl \
@@ -328,8 +282,7 @@ else
   python3 tools/bench_gate.py check \
       --report "$BENCH_DIR/BENCH_perf_micro.json" \
       --timings "$BENCH_DIR/gbench_perf_micro.json" \
-      --attribute-with "$SKS_REPORT" \
-      --sentinel bench/history.jsonl
+      --attribute-with "$SKS_REPORT"
 fi
 
 echo "=== bigtree scaling curve artifact ==="

@@ -2,18 +2,24 @@
 // telemetry layer (schema documented in obs/report.hpp and EXPERIMENTS.md).
 //
 //   sks-report print   REPORT... [--top N]  pretty-print reports
-//   sks-report diff    A B              values/counters/timers deltas
-//   sks-report merge   OUT A B...       sum shards into one schema-1 report
+//   sks-report diff    A B [--top N]    section deltas + ranked profile deltas
 //   sks-report flame   INPUT [flags]    top self-time spans + collapsed stacks
-//   sks-report attribute BASE CURRENT   rank span-tree wall-time deltas
 //   sks-report explain BUNDLE           diagnose a postmortem bundle
 //   sks-report repro   BUNDLE           re-run a bundle, check it reproduces
 //   sks-report run     NETLIST [flags]  solve a netlist; bundle on failure
 //   sks-report history JSONL [REPORT..] append summaries, print trend table
-//   sks-report sentinel JSONL [flags]   EWMA drift/step flags over history
-//   sks-report timeline FILE [B]        summarize a metrics timeline JSONL
-//                                       (two files: diff final snapshots)
+//   sks-report timeline FILE            summarize a metrics timeline JSONL
 //   sks-report tail    FILE [--follow]  render the latest timeline snapshot
+//
+// Malformed arguments (an unknown flag, a non-numeric --top) print the
+// usage and exit 2.
+//
+// `diff` compares two runs section by section: values, counters, gauges,
+// timers (total_s) and streams (mean, p99).  Either input may be a run
+// report or a metrics timeline JSONL, whose final snapshot carries the
+// same section names.  When both inputs embed a call-tree `profile`
+// (obs/profile.hpp) it also ranks the profile nodes by wall-time delta;
+// the bench gate runs it on an out-of-window failure.
 //
 // `timeline` validates the file (every line parses, seq strictly monotone
 // — exit 1 otherwise) and prints the snapshot ladder plus the final stream
@@ -24,13 +30,10 @@
 // Reports written before the trace section's instant counts replaced the
 // event journal may carry a "journal" section; every verb ignores it.
 //
-// `flame` and `attribute` consume the call-tree `profile` section a traced
-// run embeds in its report (obs/profile.hpp) — or, for `flame`, a raw
-// Chrome trace JSON, whose spans are re-aggregated on the fly.  `flame`
-// prints the top self-time table plus per-worker utilization and can write
-// the collapsed-stack text flamegraph.pl/speedscope take directly;
-// `attribute` diffs two runs' profiles and ranks nodes by wall-time delta
-// (the bench gate invokes it automatically on an out-of-window failure).
+// `flame` reads a report's `profile` section or a raw Chrome trace JSON,
+// whose spans are re-aggregated on the fly.  It prints the top self-time
+// table plus per-worker utilization and can write the collapsed-stack text
+// flamegraph.pl/speedscope take directly.
 //
 // `explain`/`repro` operate on the failure postmortem bundles the engine
 // writes (esim/postmortem.hpp): `explain` re-derives the failure class from
@@ -40,7 +43,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -56,13 +58,26 @@
 #include "obs/diag.hpp"
 #include "obs/json.hpp"
 #include "obs/profile.hpp"
-#include "obs/sentinel.hpp"
 #include "obs/stream.hpp"
 #include "util/error.hpp"
 
 namespace {
 
 using sks::obs::Json;
+
+// Thrown on malformed verb arguments; main prints the usage and exits 2.
+struct UsageError {};
+
+// The value of a `--top N` flag at args[i]; advances i past it.
+std::size_t parse_top(const std::vector<std::string>& args, std::size_t& i) {
+  if (i + 1 >= args.size()) throw UsageError{};
+  const std::string& text = args[++i];
+  if (text.empty() || text.size() > 9 ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    throw UsageError{};
+  }
+  return static_cast<std::size_t>(std::stoul(text));
+}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -107,6 +122,32 @@ std::map<std::string, std::pair<double, double>> timer_section(
     }
   }
   return out;
+}
+
+double opt_number(const Json& obj, const char* key, double fallback = 0.0) {
+  const Json* f = obj.find(key);
+  return f != nullptr && f->is_number() ? f->number() : fallback;
+}
+
+// The streams section of a report or timeline snapshot, one row per stream.
+void print_stream_table(const Json& doc, const char* indent) {
+  const Json* streams = doc.find("streams");
+  if (streams == nullptr || !streams->is_object() ||
+      streams->object().empty()) {
+    return;
+  }
+  std::printf("%s%-24s %8s %12s %12s %12s %12s %12s\n", indent, "stream",
+              "count", "mean", "min", "p50", "p99", "max");
+  for (const auto& [key, s] : streams->object()) {
+    if (!s.is_object()) continue;
+    std::printf("%s%-24s %8.0f %12s %12s %12s %12s %12s\n", indent,
+                key.c_str(), opt_number(s, "count"),
+                fmt(opt_number(s, "mean")).c_str(),
+                fmt(opt_number(s, "min")).c_str(),
+                fmt(opt_number(s, "p50")).c_str(),
+                fmt(opt_number(s, "p99")).c_str(),
+                fmt(opt_number(s, "max")).c_str());
+  }
 }
 
 void print_report(const std::string& path, std::size_t top = 0) {
@@ -160,24 +201,7 @@ void print_report(const std::string& path, std::size_t top = 0) {
                   ct.first, ct.second);
     }
   }
-  if (const Json* streams = doc.find("streams");
-      streams != nullptr && streams->is_object() &&
-      !streams->object().empty()) {
-    std::cout << "  streams:\n";
-    std::printf("    %-28s %8s %12s %12s %12s %12s\n", "name", "count",
-                "mean", "p50", "p90", "p99");
-    for (const auto& [key, s] : streams->object()) {
-      if (!s.is_object()) continue;
-      auto field = [&s](const char* name) {
-        const Json* f = s.find(name);
-        return f != nullptr && f->is_number() ? f->number() : 0.0;
-      };
-      std::printf("    %-28s %8.0f %12s %12s %12s %12s\n", key.c_str(),
-                  field("count"), fmt(field("mean")).c_str(),
-                  fmt(field("p50")).c_str(), fmt(field("p90")).c_str(),
-                  fmt(field("p99")).c_str());
-    }
-  }
+  print_stream_table(doc, "  ");
   if (const Json* trace = doc.find("trace"); trace != nullptr) {
     const double dropped = trace->at("dropped").number();
     std::cout << "  trace: events=" << fmt(trace->at("events").number())
@@ -224,108 +248,12 @@ void diff_section(const std::string& title,
   }
 }
 
-int diff_reports(const std::string& path_a, const std::string& path_b) {
-  const Json a = load_report(path_a);
-  const Json b = load_report(path_b);
-  std::cout << "diff " << path_a << " -> " << path_b << "\n";
-  diff_section("values", number_section(a, "values"),
-               number_section(b, "values"));
-  diff_section("counters", number_section(a, "counters"),
-               number_section(b, "counters"));
-  std::map<std::string, double> ta, tb;
-  for (const auto& [key, ct] : timer_section(a)) ta[key + ".total_s"] = ct.second;
-  for (const auto& [key, ct] : timer_section(b)) tb[key + ".total_s"] = ct.second;
-  diff_section("timers", ta, tb);
-  return 0;
-}
-
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   sks::check(out.good(), "cannot open '", path, "' for writing");
   out << content;
   out.flush();
   sks::check(out.good(), "write to '", path, "' failed");
-}
-
-// Merge semantics for sharded runs of the same workload: values, counters
-// and the trace section's event/drop/instant tallies are summed; timers sum
-// count/total (min/mean/max are recomputed or dropped — total is what
-// sharded profiling compares).
-int merge_reports(const std::string& out_path,
-                  const std::vector<std::string>& inputs) {
-  std::map<std::string, double> values, counters;
-  std::map<std::string, std::pair<double, double>> timers;
-  bool have_trace = false;
-  double trace_events = 0.0, trace_dropped = 0.0;
-  std::map<std::string, double> instants;
-  std::string name;
-  for (const std::string& path : inputs) {
-    const Json doc = load_report(path);
-    if (name.empty()) name = doc.at("report").str();
-    for (const auto& [key, v] : number_section(doc, "values")) values[key] += v;
-    for (const auto& [key, v] : number_section(doc, "counters")) {
-      counters[key] += v;
-    }
-    for (const auto& [key, ct] : timer_section(doc)) {
-      timers[key].first += ct.first;
-      timers[key].second += ct.second;
-    }
-    if (const Json* trace = doc.find("trace")) {
-      have_trace = true;
-      trace_events += trace->at("events").number();
-      trace_dropped += trace->at("dropped").number();
-      for (const auto& [key, v] : number_section(*trace, "instants")) {
-        instants[key] += v;
-      }
-    }
-  }
-
-  std::ostringstream out;
-  out << "{\n  \"report\": \"" << sks::obs::json_escape(name)
-      << "\",\n  \"schema_version\": 1,\n  \"meta\": {\"merged_from\": \""
-      << inputs.size() << " reports\"}";
-  auto emit_rows = [&out](const std::map<std::string, double>& rows) {
-    bool first = true;
-    for (const auto& [key, v] : rows) {
-      out << (first ? "" : ", ") << '"' << sks::obs::json_escape(key)
-          << "\": " << fmt(v);
-      first = false;
-    }
-  };
-  auto emit_map = [&](const char* section,
-                      const std::map<std::string, double>& rows) {
-    if (rows.empty()) return;
-    out << ",\n  \"" << section << "\": {";
-    emit_rows(rows);
-    out << "}";
-  };
-  emit_map("values", values);
-  emit_map("counters", counters);
-  if (!timers.empty()) {
-    out << ",\n  \"timers\": {";
-    bool first = true;
-    for (const auto& [key, ct] : timers) {
-      const double mean = ct.first > 0.0 ? ct.second / ct.first : 0.0;
-      out << (first ? "" : ", ") << '"' << sks::obs::json_escape(key)
-          << "\": {\"count\": " << fmt(ct.first)
-          << ", \"total_s\": " << fmt(ct.second)
-          << ", \"mean_s\": " << fmt(mean) << ", \"min_s\": 0, \"max_s\": "
-          << fmt(ct.second) << "}";
-      first = false;
-    }
-    out << "}";
-  }
-  if (have_trace) {
-    out << ",\n  \"trace\": {\"events\": " << fmt(trace_events)
-        << ", \"dropped\": " << fmt(trace_dropped) << ", \"instants\": {";
-    emit_rows(instants);
-    out << "}}";
-  }
-  out << "\n}\n";
-  write_file(out_path, out.str());
-  std::cout << "merged " << inputs.size() << " reports into " << out_path
-            << "\n";
-  return 0;
 }
 
 // ---- postmortem bundles -------------------------------------------------
@@ -466,13 +394,13 @@ int run_netlist(const std::vector<std::string>& args) {
     } else if (a == "--postmortem" && i + 1 < args.size()) {
       postmortem_dir = args[++i];
     } else if (!a.empty() && a[0] == '-') {
-      sks::check(false, "run: unknown flag '", a, "'");
+      throw UsageError{};
     } else {
-      sks::check(netlist_path.empty(), "run: more than one netlist given");
+      if (!netlist_path.empty()) throw UsageError{};
       netlist_path = a;
     }
   }
-  sks::check(!netlist_path.empty(), "run: no netlist given");
+  if (netlist_path.empty()) throw UsageError{};
 
   sks::esim::Simulator sim(sks::esim::parse_spice(read_file(netlist_path)));
   // No --solver flag leaves the simulator's automatic selection in force.
@@ -532,31 +460,6 @@ std::vector<Json> load_timeline(const std::string& path) {
   return out;
 }
 
-double opt_number(const Json& obj, const char* key, double fallback = 0.0) {
-  const Json* f = obj.find(key);
-  return f != nullptr && f->is_number() ? f->number() : fallback;
-}
-
-void print_stream_table(const Json& snap, const char* indent) {
-  const Json* streams = snap.find("streams");
-  if (streams == nullptr || !streams->is_object() ||
-      streams->object().empty()) {
-    return;
-  }
-  std::printf("%s%-24s %8s %12s %12s %12s %12s %12s\n", indent, "stream",
-              "count", "mean", "min", "p50", "p99", "max");
-  for (const auto& [key, s] : streams->object()) {
-    if (!s.is_object()) continue;
-    std::printf("%s%-24s %8.0f %12s %12s %12s %12s %12s\n", indent,
-                key.c_str(), opt_number(s, "count"),
-                fmt(opt_number(s, "mean")).c_str(),
-                fmt(opt_number(s, "min")).c_str(),
-                fmt(opt_number(s, "p50")).c_str(),
-                fmt(opt_number(s, "p99")).c_str(),
-                fmt(opt_number(s, "max")).c_str());
-  }
-}
-
 // One ladder row per snapshot: seq, label, wall clock, progress and the
 // drop counters (so saturation mid-run is visible in the summary).
 void print_timeline_row(const Json& snap) {
@@ -610,40 +513,6 @@ int summarize_timeline(const std::string& path) {
       t != nullptr && opt_number(*t, "dropped") > 0.0) {
     std::cout << "DROPS: trace=" << fmt(opt_number(*t, "dropped")) << "\n";
   }
-  return 0;
-}
-
-std::map<std::string, double> snapshot_section(const Json& snap,
-                                               const std::string& section) {
-  return number_section(snap, section);
-}
-
-// Two timelines: diff their FINAL snapshots (counters, gauges, stream
-// means) — "did the overnight run end in the same place as yesterday's".
-int diff_timelines(const std::string& path_a, const std::string& path_b) {
-  const std::vector<Json> a = load_timeline(path_a);
-  const std::vector<Json> b = load_timeline(path_b);
-  sks::check(!a.empty(), path_a, ": no snapshots");
-  sks::check(!b.empty(), path_b, ": no snapshots");
-  std::cout << "timeline diff (final snapshots) " << path_a << " -> "
-            << path_b << "\n";
-  diff_section("counters", snapshot_section(a.back(), "counters"),
-               snapshot_section(b.back(), "counters"));
-  diff_section("gauges", snapshot_section(a.back(), "gauges"),
-               snapshot_section(b.back(), "gauges"));
-  auto stream_means = [](const Json& snap) {
-    std::map<std::string, double> out;
-    if (const Json* streams = snap.find("streams");
-        streams != nullptr && streams->is_object()) {
-      for (const auto& [key, s] : streams->object()) {
-        if (!s.is_object()) continue;
-        out[key + ".mean"] = opt_number(s, "mean");
-        out[key + ".p99"] = opt_number(s, "p99");
-      }
-    }
-    return out;
-  };
-  diff_section("streams", stream_means(a.back()), stream_means(b.back()));
   return 0;
 }
 
@@ -823,7 +692,7 @@ int history_command(const std::string& jsonl_path,
                     const std::vector<std::string>& reports) {
   if (!reports.empty()) {
     // Existing hashes first: a CI re-run appending the identical report
-    // must not pollute the sentinel's trend window with duplicate points.
+    // must not add a duplicate point to the trend table.
     std::set<std::string> seen;
     {
       std::ifstream in(jsonl_path);
@@ -927,95 +796,6 @@ int history_command(const std::string& jsonl_path,
                 fmt(p99.value()).c_str());
   }
   return 0;
-}
-
-// ---- regression sentinel ------------------------------------------------
-
-// EWMA control charts (obs/sentinel.hpp) over every per-metric series in
-// a history JSONL.  Series are keyed on (report name, metric) so a file
-// mixing perf_micro and fig5 entries never splices their trends together.
-// Flags print as grep-able `SENTINEL_FLAG kind=...` lines; --strict turns
-// any flag into exit code 4 (tools/bench_gate.py EXIT_SENTINEL).
-int sentinel_command(const std::vector<std::string>& args) {
-  std::string jsonl_path;
-  std::string metric_prefix;
-  sks::obs::SentinelOptions opt;
-  bool strict = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--lambda" && i + 1 < args.size()) {
-      opt.lambda = std::atof(args[++i].c_str());
-    } else if (args[i] == "--k" && i + 1 < args.size()) {
-      opt.k = std::atof(args[++i].c_str());
-    } else if (args[i] == "--warmup" && i + 1 < args.size()) {
-      opt.warmup = static_cast<std::size_t>(std::atol(args[++i].c_str()));
-    } else if (args[i] == "--metric" && i + 1 < args.size()) {
-      metric_prefix = args[++i];
-    } else if (args[i] == "--strict") {
-      strict = true;
-    } else if (jsonl_path.empty()) {
-      jsonl_path = args[i];
-    } else {
-      sks::check(false, "sentinel: unexpected argument '", args[i], "'");
-    }
-  }
-  sks::check(!jsonl_path.empty(), "sentinel: missing HISTORY.jsonl");
-  sks::check(opt.lambda > 0.0 && opt.lambda <= 1.0,
-             "sentinel: --lambda must be in (0, 1]");
-  sks::check(opt.k > 0.0, "sentinel: --k must be positive");
-
-  std::ifstream in(jsonl_path);
-  sks::check(in.good(), "cannot open '", jsonl_path, "'");
-  // (report, metric) -> series in file order (file order == run order:
-  // history_command only ever appends).
-  std::map<std::pair<std::string, std::string>, std::vector<double>> series;
-  std::set<std::string> report_names;
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    const Json doc = Json::parse(line);
-    const std::string report = doc.at("report").str();
-    report_names.insert(report);
-    ++lines;
-    for (const auto& [key, v] : number_section(doc, "values")) {
-      if (!metric_prefix.empty() && key.rfind(metric_prefix, 0) != 0) {
-        continue;
-      }
-      series[{report, key}].push_back(v);
-    }
-  }
-
-  std::vector<sks::obs::SentinelFinding> flagged;
-  std::size_t charted = 0;
-  for (const auto& [key, values] : series) {
-    const std::string label = report_names.size() > 1
-                                  ? key.first + "/" + key.second
-                                  : key.second;
-    const sks::obs::SentinelFinding f =
-        sks::obs::sentinel_check(label, values, opt);
-    if (f.runs > opt.warmup) ++charted;
-    if (f.verdict != sks::obs::SentinelVerdict::kOk) flagged.push_back(f);
-  }
-
-  std::cout << "sentinel " << jsonl_path << ": " << lines << " run(s), "
-            << series.size() << " metric series (" << charted
-            << " past warm-up), lambda=" << fmt(opt.lambda)
-            << " k=" << fmt(opt.k) << " warmup=" << opt.warmup << "\n";
-  for (const auto& f : flagged) {
-    std::cout << "SENTINEL_FLAG kind=" << sks::obs::to_string(f.verdict)
-              << " key=" << f.metric << " last=" << fmt(f.value)
-              << " baseline=" << fmt(f.baseline_mean)
-              << " sigma=" << fmt(f.baseline_sigma)
-              << " ewma=" << fmt(f.ewma) << " band=[" << fmt(f.band_lo)
-              << ", " << fmt(f.band_hi) << "] runs=" << f.runs << "\n";
-  }
-  if (flagged.empty()) {
-    std::cout << "sentinel: no drift or step flags\n";
-    return 0;
-  }
-  std::cout << "sentinel: " << flagged.size() << " metric(s) flagged"
-            << (strict ? " (strict: exit 4)" : " (warn-only)") << "\n";
-  return strict ? 4 : 0;
 }
 
 // ---- performance attribution --------------------------------------------
@@ -1126,18 +906,18 @@ int flame_command(const std::vector<std::string>& args) {
   std::size_t top = 20;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    if (a == "--top" && i + 1 < args.size()) {
-      top = static_cast<std::size_t>(std::atol(args[++i].c_str()));
+    if (a == "--top") {
+      top = parse_top(args, i);
     } else if (a == "--collapsed" && i + 1 < args.size()) {
       collapsed_path = args[++i];
     } else if (!a.empty() && a[0] == '-') {
-      sks::check(false, "flame: unknown flag '", a, "'");
+      throw UsageError{};
     } else {
-      sks::check(input.empty(), "flame: more than one input given");
+      if (!input.empty()) throw UsageError{};
       input = a;
     }
   }
-  sks::check(!input.empty(), "flame: no input given");
+  if (input.empty()) throw UsageError{};
 
   const sks::obs::Profile profile = load_profile_any(input);
   if (profile.empty()) {
@@ -1186,52 +966,108 @@ int flame_command(const std::vector<std::string>& args) {
   return 0;
 }
 
-int attribute_command(const std::vector<std::string>& args) {
-  std::vector<std::string> inputs;
-  std::size_t top = 10;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--top" && i + 1 < args.size()) {
-      top = static_cast<std::size_t>(std::atol(args[++i].c_str()));
-    } else if (!a.empty() && a[0] == '-') {
-      sks::check(false, "attribute: unknown flag '", a, "'");
-    } else {
-      inputs.push_back(a);
+// ---- run diffs ----------------------------------------------------------
+
+// A run report, or a metrics timeline's final snapshot: both carry the
+// values/counters/gauges/timers/streams sections under the same names.
+Json load_run(const std::string& path) {
+  const std::string text = read_file(path);
+  Json doc;
+  try {
+    doc = Json::parse(text);
+  } catch (const sks::Error&) {
+    // Not one JSON document: read it as a timeline below.
+  }
+  if (doc.has("report")) return doc;
+  std::vector<Json> snaps = load_timeline(path);
+  sks::check(!snaps.empty(), path, ": neither a run report nor a timeline");
+  return std::move(snaps.back());
+}
+
+// name.total_s -> total of the timers section.
+std::map<std::string, double> timer_totals(const Json& doc) {
+  std::map<std::string, double> out;
+  for (const auto& [key, ct] : timer_section(doc)) {
+    out[key + ".total_s"] = ct.second;
+  }
+  return out;
+}
+
+// name.mean / name.p99 -> value of the streams section.
+std::map<std::string, double> stream_rows(const Json& doc) {
+  std::map<std::string, double> out;
+  if (const Json* streams = doc.find("streams");
+      streams != nullptr && streams->is_object()) {
+    for (const auto& [key, s] : streams->object()) {
+      if (!s.is_object()) continue;
+      out[key + ".mean"] = opt_number(s, "mean");
+      out[key + ".p99"] = opt_number(s, "p99");
     }
   }
-  sks::check(inputs.size() == 2, "attribute: expected BASE and CURRENT");
+  return out;
+}
 
-  const sks::obs::Profile base = load_profile_any(inputs[0]);
-  const sks::obs::Profile cur = load_profile_any(inputs[1]);
-  const auto ranked = sks::obs::attribute_profiles(base, cur);
+// Profile nodes ranked by wall-time delta, largest movement first.
+void print_attribution(const Json& a, const Json& b,
+                       const std::vector<std::string>& paths,
+                       std::size_t top) {
+  const auto ranked = sks::obs::attribute_profiles(
+      profile_from_report_doc(a, paths[0]),
+      profile_from_report_doc(b, paths[1]));
   if (ranked.empty()) {
     std::cout << "attribution: both profiles are empty\n";
-    return 1;
+    return;
   }
-
   // Overall movement = summed root-node delta (roots cover the tree once).
   double overall = 0.0;
-  for (const auto& a : ranked) {
-    if (a.path.find(';') == std::string::npos) overall += a.delta_total_s;
+  for (const auto& r : ranked) {
+    if (r.path.find(';') == std::string::npos) overall += r.delta_total_s;
   }
-  std::cout << "attribution " << inputs[0] << " -> " << inputs[1] << " ("
-            << ranked.size() << " nodes, overall "
+  std::cout << "attribution (" << ranked.size() << " nodes, overall "
             << (overall >= 0.0 ? "+" : "") << fmt(overall)
-            << "s across roots)\n";
+            << "s across roots):\n";
   const std::size_t shown = top > 0 ? std::min(top, ranked.size())
                                     : ranked.size();
   for (std::size_t i = 0; i < shown; ++i) {
-    const sks::obs::Attribution& a = ranked[i];
+    const sks::obs::Attribution& r = ranked[i];
     std::printf("  #%-2zu %+.6fs total (%s -> %s)  self %+.6fs  "
                 "count %llu -> %llu  %s\n",
-                i + 1, a.delta_total_s, fmt(a.base_total_s).c_str(),
-                fmt(a.cur_total_s).c_str(), a.delta_self_s,
-                static_cast<unsigned long long>(a.base_count),
-                static_cast<unsigned long long>(a.cur_count), a.path.c_str());
+                i + 1, r.delta_total_s, fmt(r.base_total_s).c_str(),
+                fmt(r.cur_total_s).c_str(), r.delta_self_s,
+                static_cast<unsigned long long>(r.base_count),
+                static_cast<unsigned long long>(r.cur_count), r.path.c_str());
   }
   if (shown < ranked.size()) {
     std::cout << "  ... (" << ranked.size() - shown << " nodes below --top "
               << top << ")\n";
+  }
+}
+
+int diff_command(const std::vector<std::string>& args) {
+  std::vector<std::string> paths;
+  std::size_t top = 10;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (args[i] == "--top") {
+      top = parse_top(args, i);
+    } else if (!args[i].empty() && args[i][0] == '-') {
+      throw UsageError{};
+    } else {
+      paths.push_back(args[i]);
+    }
+  }
+  if (paths.size() != 2) throw UsageError{};
+
+  const Json a = load_run(paths[0]);
+  const Json b = load_run(paths[1]);
+  std::cout << "diff " << paths[0] << " -> " << paths[1] << "\n";
+  for (const char* section : {"values", "counters", "gauges"}) {
+    diff_section(section, number_section(a, section),
+                 number_section(b, section));
+  }
+  diff_section("timers", timer_totals(a), timer_totals(b));
+  diff_section("streams", stream_rows(a), stream_rows(b));
+  if (a.has("profile") && b.has("profile")) {
+    print_attribution(a, b, paths, top);
   }
   return 0;
 }
@@ -1239,20 +1075,17 @@ int attribute_command(const std::vector<std::string>& args) {
 int usage() {
   std::cerr << "usage:\n"
                "  sks-report print   REPORT.json... [--top N]\n"
-               "  sks-report diff    A.json B.json\n"
-               "  sks-report merge   OUT.json A.json B.json...\n"
+               "  sks-report diff    A B [--top N]   "
+               "(run reports or timeline JSONL files)\n"
                "  sks-report flame   REPORT.json|TRACE.json [--top N] "
                "[--collapsed OUT.txt]\n"
-               "  sks-report attribute BASE.json CURRENT.json [--top N]\n"
                "  sks-report explain BUNDLE_DIR\n"
                "  sks-report repro   BUNDLE_DIR\n"
                "  sks-report run     NETLIST.sp [--dc|--tran] "
                "[--solver sparse|hierarchical|auto] "
                "[--postmortem DIR]\n"
                "  sks-report history HISTORY.jsonl [REPORT.json...]\n"
-               "  sks-report sentinel HISTORY.jsonl [--lambda L] [--k K] "
-               "[--warmup N] [--metric PREFIX] [--strict]\n"
-               "  sks-report timeline TIMELINE.jsonl [B.jsonl]\n"
+               "  sks-report timeline TIMELINE.jsonl\n"
                "  sks-report tail    TIMELINE.jsonl [--follow]\n";
   return 2;
 }
@@ -1262,58 +1095,52 @@ int usage() {
 int main(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string command = argv[1];
-  std::vector<std::string> paths(argv + 2, argv + argc);
+  std::vector<std::string> args(argv + 2, argv + argc);
   try {
     if (command == "print") {
       std::size_t top = 0;
       std::vector<std::string> files;
-      for (std::size_t i = 0; i < paths.size(); ++i) {
-        if (paths[i] == "--top" && i + 1 < paths.size()) {
-          top = static_cast<std::size_t>(std::atol(paths[++i].c_str()));
+      for (std::size_t i = 0; i < args.size(); ++i) {
+        if (args[i] == "--top") {
+          top = parse_top(args, i);
+        } else if (!args[i].empty() && args[i][0] == '-') {
+          throw UsageError{};
         } else {
-          files.push_back(paths[i]);
+          files.push_back(args[i]);
         }
       }
       for (const std::string& path : files) print_report(path, top);
       return 0;
     }
+    if (command == "diff") {
+      return diff_command(args);
+    }
     if (command == "flame") {
-      return flame_command(paths);
+      return flame_command(args);
     }
-    if (command == "attribute") {
-      return attribute_command(paths);
+    if (command == "explain" && args.size() == 1) {
+      return explain_bundle(args[0]);
     }
-    if (command == "diff" && paths.size() == 2) {
-      return diff_reports(paths[0], paths[1]);
-    }
-    if (command == "merge" && paths.size() >= 2) {
-      return merge_reports(paths[0], {paths.begin() + 1, paths.end()});
-    }
-    if (command == "explain" && paths.size() == 1) {
-      return explain_bundle(paths[0]);
-    }
-    if (command == "repro" && paths.size() == 1) {
-      return repro_bundle(paths[0]);
+    if (command == "repro" && args.size() == 1) {
+      return repro_bundle(args[0]);
     }
     if (command == "run") {
-      return run_netlist(paths);
+      return run_netlist(args);
     }
     if (command == "history") {
-      return history_command(paths[0], {paths.begin() + 1, paths.end()});
+      return history_command(args[0], {args.begin() + 1, args.end()});
     }
-    if (command == "sentinel") {
-      return sentinel_command(paths);
+    if (command == "timeline" && args.size() == 1) {
+      return summarize_timeline(args[0]);
     }
-    if (command == "timeline" && paths.size() == 1) {
-      return summarize_timeline(paths[0]);
+    if (command == "tail" && args.size() == 1) {
+      return tail_timeline(args[0], false);
     }
-    if (command == "timeline" && paths.size() == 2) {
-      return diff_timelines(paths[0], paths[1]);
+    if (command == "tail" && args.size() == 2 && args[1] == "--follow") {
+      return tail_timeline(args[0], true);
     }
-    if (command == "tail" && !paths.empty()) {
-      const bool follow = paths.size() > 1 && paths[1] == "--follow";
-      return tail_timeline(paths[0], follow);
-    }
+    return usage();
+  } catch (const UsageError&) {
     return usage();
   } catch (const sks::Error& e) {
     std::cerr << "sks-report: " << e.what() << "\n";
