@@ -105,7 +105,7 @@ class BatchSimulator {
   std::unique_ptr<Impl> impl_;
 };
 
-// Lane-width resolution shared by the scheme/fault drivers: `requested`
+// Lane-width resolution for batched runs: `requested`
 // wins when nonzero; otherwise the SKS_BATCH environment variable ("0",
 // "1" or "off" disable batching, an integer >= 2 sets the width); otherwise
 // `auto_default`.  The result is clamped to [1, kMaxBatchLanes]; 1 means

@@ -888,6 +888,15 @@ Simulator::DcSolution Simulator::dc_solution(
 TransientResult Simulator::run_transient(const TransientOptions& options) {
   sks::check(options.t_end > 0.0, "run_transient: t_end must be positive");
   sks::check(options.dt > 0.0, "run_transient: dt must be positive");
+  if (options.adaptive) {
+    // dt is the first step: above dt_max the controller would take steps
+    // it is meant to forbid, and a non-positive dv_max rejects every step.
+    sks::check(options.dv_max > 0.0, "run_transient: adaptive dv_max (",
+               options.dv_max, " V) must be positive");
+    sks::check(options.dt_max >= options.dt,
+               "run_transient: adaptive dt_max (", options.dt_max,
+               " s) must be >= dt (", options.dt, " s)");
+  }
 
   stats_ = SolveStats{};
   const obs::Stopwatch wall;

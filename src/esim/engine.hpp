@@ -152,7 +152,8 @@ struct TransientOptions {
   // Adaptive timestep (voltage-slope control): a step whose largest node
   // movement exceeds dv_max is rejected and halved; quiet steps grow by
   // 1.5x up to dt_max.  Breakpoints are still honoured exactly.  With
-  // adaptive off (default) the step is fixed at `dt`.
+  // adaptive off (default) the step is fixed at `dt`.  run_transient
+  // requires dv_max > 0 and dt_max >= dt when adaptive is set.
   bool adaptive = false;
   double dv_max = 0.25;       // [V] per step
   double dt_max = 50e-12;     // [s]

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "esim/batch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/timer.hpp"
@@ -154,89 +153,14 @@ CampaignReport run_campaign(const esim::Circuit& good_circuit,
     sink.complete(i);
   };
 
-  const std::size_t lanes =
-      esim::resolve_batch_lanes(options.batch, esim::kDefaultBatchLanes);
-  campaign_span.arg("batch_lanes", static_cast<double>(lanes));
-  if (lanes <= 1) {
-    // Scalar golden path: one Simulator per fault.
-    if (threads <= 1 || universe.size() <= 1) {
-      for (std::size_t i = 0; i < universe.size(); ++i) test_one(i);
-    } else {
-      par::ThreadPool pool(std::min(threads, universe.size()));
-      par::parallel_for(pool, 0, universe.size(), test_one);
-    }
+  // One Simulator per fault.  Observation transients step adaptively, and
+  // esim::BatchSimulator retires adaptive lanes to the scalar path at once,
+  // so batching faults would only add injection and grouping overhead.
+  if (threads <= 1 || universe.size() <= 1) {
+    for (std::size_t i = 0; i < universe.size(); ++i) test_one(i);
   } else {
-    // Batched fast path.  Injection is cheap next to simulation, so inject
-    // every fault up front; consecutive faults whose circuits share the
-    // good circuit's structure batch together, while topology-changing
-    // faults (opens splitting nodes, bridges adding devices) break the run
-    // of compatibility and start a new group.
-    std::vector<esim::Circuit> faulty;
-    faulty.reserve(universe.size());
-    for (const Fault& f : universe) {
-      faulty.push_back(inject(good_circuit, f, options.inject));
-    }
-    struct Group {
-      std::size_t lo, hi;
-    };
-    std::vector<Group> groups;
-    for (std::size_t i = 0; i < faulty.size(); ++i) {
-      if (groups.empty() || groups.back().hi - groups.back().lo >= lanes ||
-          !esim::BatchSimulator::structure_compatible(
-              faulty[groups.back().lo], faulty[i])) {
-        groups.push_back({i, i + 1});
-      } else {
-        groups.back().hi = i + 1;
-      }
-    }
-    auto run_group = [&](std::size_t g) {
-      const std::size_t lo = groups[g].lo;
-      const std::size_t hi = groups[g].hi;
-      const obs::Stopwatch group_wall;
-      obs::Span span("fault.test_batch");
-      span.arg("first", static_cast<double>(lo))
-          .arg("lanes", static_cast<double>(hi - lo));
-      std::vector<esim::Circuit> lanes_c(faulty.begin() +
-                                             static_cast<std::ptrdiff_t>(lo),
-                                         faulty.begin() +
-                                             static_cast<std::ptrdiff_t>(hi));
-      esim::BatchSimulator batch(std::move(lanes_c));
-      const auto outcomes =
-          batch.run_transients({observation_options(plan)});
-      for (std::size_t l = 0; l < hi - lo; ++l) {
-        const std::size_t i = lo + l;
-        FaultVerdict& v = report.verdicts[i];
-        const esim::BatchLaneOutcome& oc = outcomes[l];
-        if (oc.simulated) {
-          const Observation faulty_obs =
-              interpret_observation(oc.result, faulty[i], plan);
-          v = classify_fault(universe[i], good_observation, faulty_obs, plan);
-        } else {
-          v = FaultVerdict{};
-          v.fault = universe[i];
-          v.failure = oc.failure;
-          v.bundle = oc.bundle;
-          if (obs::tracer().enabled()) {
-            obs::trace_marker(obs::Marker::kFaultVerdict, 0.0, 0.0, 0,
-                              universe[i].label() + ": unsimulated");
-          }
-        }
-      }
-      const double per_fault =
-          group_wall.seconds() / static_cast<double>(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        report.verdicts[i].seconds = per_fault;
-        sink.complete(i);
-      }
-      span.arg("fallbacks",
-               static_cast<double>(batch.last_batch_stats().fallbacks));
-    };
-    if (threads <= 1 || groups.size() <= 1) {
-      for (std::size_t g = 0; g < groups.size(); ++g) run_group(g);
-    } else {
-      par::ThreadPool pool(std::min(threads, groups.size()));
-      par::parallel_for(pool, 0, groups.size(), run_group);
-    }
+    par::ThreadPool pool(std::min(threads, universe.size()));
+    par::parallel_for(pool, 0, universe.size(), test_one);
   }
   report.stats.wall_seconds = wall.seconds();
   return report;

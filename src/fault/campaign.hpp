@@ -67,12 +67,10 @@ struct CampaignOptions {
   // test is share-nothing (its Simulator owns a circuit snapshot) and
   // results are committed in universe order.
   std::size_t threads = 0;
-  // Batched-solver lane width: consecutive faults whose injected circuits
-  // are structure-compatible are simulated together by esim::BatchSimulator
-  // (faults that change topology — opens splitting a node, bridges adding a
-  // resistor — start a new group).  0 = resolve from SKS_BATCH, defaulting
-  // to esim::kDefaultBatchLanes; 1 disables batching.  Verdicts and
-  // aggregation order are identical either way.
+  // Ignored: every fault runs on its own scalar Simulator.  Observation
+  // transients step adaptively (observation_options) and the batch engine
+  // retires adaptive lanes to the scalar path at once, so campaigns do not
+  // batch.  Kept only so existing callers that set it still compile.
   std::size_t batch = 0;
 };
 

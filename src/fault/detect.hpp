@@ -33,7 +33,10 @@ struct TestPlan {
   double vth = 2.75;                    // logic interpretation threshold [V]
   double iddq_threshold = 50e-6;        // excess quiescent current [A]
   std::string supply_name = "Vdd";
-  double dt = 5e-12;                    // simulation base step [s]
+  // Base step of the observation transient [s]: its first step, and the
+  // unit of its adaptive step bound (steps grow to 3 x dt in quiet
+  // stretches, see observation_options).
+  double dt = 5e-12;
   double t_end = 0.0;                   // 0 => derived from the strobes
 };
 
@@ -59,13 +62,14 @@ struct Observation {
 // Simulate the circuit under the plan's stimulus and sample it.
 Observation observe(const esim::Circuit& circuit, const TestPlan& plan);
 
-// The transient options observe() runs — exposed so the batched campaign
-// path (esim::BatchSimulator over a group of faulty circuits) drives its
-// lanes with exactly the scalar schedule.
+// The transient options observe() runs: adaptive steps starting at
+// plan.dt, bounded by dt_max = 3 x plan.dt and dv_max = 0.1 V per step.
+// Exposed so callers that drive esim themselves observe the same schedule.
 esim::TransientOptions observation_options(const TestPlan& plan);
 
 // Sample an already-computed transient of `circuit` (the second half of
-// observe()); shared by the scalar and batched campaign paths.
+// observe()); callers running their own transient (a fixed-step reference,
+// say) classify it through this and classify_fault.
 Observation interpret_observation(const esim::TransientResult& result,
                                   const esim::Circuit& circuit,
                                   const TestPlan& plan);
@@ -99,9 +103,9 @@ FaultVerdict test_fault(const esim::Circuit& good_circuit,
 
 // Classify an already-observed faulty circuit against the fault-free
 // reference: the detection-criteria half of test_fault (including the
-// fault_verdict trace marker), shared by the scalar and batched campaign
-// paths.  The returned verdict carries the fault, the detection flags and
-// the solver stats of `faulty_observation`; the caller fills `seconds`.
+// fault_verdict trace marker).  The returned verdict carries the fault, the
+// detection flags and the solver stats of `faulty_observation`; the caller
+// fills `seconds`.
 FaultVerdict classify_fault(const Fault& fault_to_test,
                             const Observation& good_observation,
                             const Observation& faulty_observation,

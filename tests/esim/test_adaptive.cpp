@@ -11,6 +11,7 @@
 #include "esim/engine.hpp"
 #include "esim/trace.hpp"
 #include "obs/trace.hpp"
+#include "util/error.hpp"
 
 namespace sks::esim {
 namespace {
@@ -195,6 +196,36 @@ TEST(AdaptiveTransient, BreakpointsStillHonoured) {
     if (std::fabs(t - 1e-12) < 1e-18) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+TEST(AdaptiveTransient, RejectsNonPositiveDvMax) {
+  // A dv_max <= 0 would reject every step down to the dt floor.
+  TransientOptions options;
+  options.t_end = 1e-9;
+  options.dt = 5e-12;
+  options.adaptive = true;
+  options.dt_max = 50e-12;
+  for (const double dv_max : {0.0, -0.1}) {
+    options.dv_max = dv_max;
+    EXPECT_THROW(simulate(rc_step(), options), Error) << dv_max;
+  }
+  options.adaptive = false;  // the bound only binds adaptive runs
+  EXPECT_NO_THROW(simulate(rc_step(), options));
+}
+
+TEST(AdaptiveTransient, RejectsDtMaxBelowDt) {
+  // The first step is dt: with dt > dt_max it would exceed the bound.
+  TransientOptions options;
+  options.t_end = 1e-9;
+  options.dt = 20e-12;
+  options.adaptive = true;
+  options.dt_max = 10e-12;
+  EXPECT_THROW(simulate(rc_step(), options), Error);
+  options.dt_max = options.dt;  // the bound may equal the first step
+  EXPECT_NO_THROW(simulate(rc_step(), options));
+  options.adaptive = false;
+  options.dt_max = 10e-12;
+  EXPECT_NO_THROW(simulate(rc_step(), options));
 }
 
 }  // namespace

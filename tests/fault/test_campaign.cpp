@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
 #include "fault/universe.hpp"
 #include "util/units.hpp"
@@ -97,40 +96,6 @@ TEST_F(CampaignFixture, VerdictsPreserveUniverseOrder) {
   for (std::size_t i = 0; i < universe.size(); ++i) {
     EXPECT_EQ(report.verdicts[i].fault.label(), universe[i].label());
   }
-}
-
-// Separate fixture name so the sanitizer test presets' `^Batch` filter
-// picks the batched-equivalence suite up by name.
-struct BatchCampaignFixture : CampaignFixture {};
-
-TEST_F(BatchCampaignFixture, BatchedCampaignMatchesScalarVerdicts) {
-  // The batched fast path groups structure-compatible faulty circuits into
-  // BatchSimulator runs; the verdict of every fault — detection flags,
-  // simulated state, universe order — must match the scalar campaign.
-  TestPlan plan = default_sensor_test_plan(
-      bench, tech.interpretation_threshold(), 1);
-  plan.dt = 10e-12;
-  CampaignOptions scalar_o;
-  scalar_o.threads = 1;
-  scalar_o.batch = 1;  // scalar golden path
-  CampaignOptions batch_o = scalar_o;
-  batch_o.batch = 4;
-  const auto scalar = run_campaign(bench.circuit, universe, plan, scalar_o);
-  const auto batched = run_campaign(bench.circuit, universe, plan, batch_o);
-  ASSERT_EQ(scalar.verdicts.size(), batched.verdicts.size());
-  for (std::size_t i = 0; i < scalar.verdicts.size(); ++i) {
-    const auto& s = scalar.verdicts[i];
-    const auto& b = batched.verdicts[i];
-    EXPECT_EQ(s.fault.label(), b.fault.label()) << i;
-    EXPECT_EQ(s.simulated, b.simulated) << s.fault.label();
-    EXPECT_EQ(s.logic_detected, b.logic_detected) << s.fault.label();
-    EXPECT_EQ(s.iddq_detected, b.iddq_detected) << s.fault.label();
-    EXPECT_NEAR(s.max_excess_iddq, b.max_excess_iddq,
-                1e-6 + 1e-3 * std::fabs(s.max_excess_iddq))
-        << s.fault.label();
-  }
-  EXPECT_EQ(scalar.overall().logic_detected, batched.overall().logic_detected);
-  EXPECT_EQ(scalar.overall().iddq_only, batched.overall().iddq_only);
 }
 
 TEST(CampaignResistiveBridges, ResistanceSweepTrends) {

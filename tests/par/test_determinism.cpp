@@ -57,11 +57,9 @@ struct ParCampaignFixture : ::testing::Test {
   }
 
   fault::CampaignReport run(std::size_t threads,
-                            const fault::CampaignProgress& progress = nullptr,
-                            std::size_t batch = 0) {
+                            const fault::CampaignProgress& progress = nullptr) {
     fault::CampaignOptions options;
     options.threads = threads;
-    options.batch = batch;
     return fault::run_campaign(bench.circuit, universe, plan, options,
                                progress);
   }
@@ -118,15 +116,12 @@ TEST_F(ParCampaignFixture, TracedCampaignSpansLandOnEveryWorkerTrack) {
   obs::tracer().set_enabled(true);
   // With 12 ~millisecond faults on a 4-worker pool every worker should
   // test at least one, but work stealing makes no hard promise — retry a
-  // couple of times before calling a missing track a failure.  batch = 1
-  // pins the scalar path: this test is about the per-fault "fault.test"
-  // span layout, which the batched path replaces with per-group
-  // "fault.test_batch" spans.
+  // couple of times before calling a missing track a failure.
   std::set<std::uint32_t> tids;
   for (int attempt = 0; attempt < 3 && tids.size() < 4; ++attempt) {
     tids.clear();
     obs::tracer().clear();
-    run(4, nullptr, 1);
+    run(4);
     std::size_t fault_spans = 0;
     for (const auto& buffer : obs::tracer().buffers()) {
       std::uint64_t prev_ts = 0;
